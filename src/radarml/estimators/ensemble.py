@@ -14,7 +14,7 @@ import numpy as np
 
 from ..seeding import seed_sequence
 from .base import check_predict_input, encode_training_data
-from .tree import CRITERIA, grow_classification, grow_regression, tree_apply
+from .tree import CRITERIA, grow_classification, grow_regression, presort, tree_apply
 
 
 def _majority_vote(trees, X, n_classes):
@@ -101,6 +101,10 @@ class GradientBoosting:
     """
 
     kind = "gradient_boosting"
+    # An n-stage fit holds every smaller fit exactly and ignores the seed,
+    # so one fit per fold can score each n_estimators up to n, through
+    # ``staged_predict``.
+    staged_param = "n_estimators"
 
     def __init__(self, n_estimators=16, learning_rate=0.5, max_depth=3, seed=0):
         if int(n_estimators) < 1:
@@ -131,6 +135,7 @@ class GradientBoosting:
         self.init_scores_ = np.log(priors)
         F = np.tile(self.init_scores_, (n, 1))
         deviances = [self._deviance(F, codes)]
+        order, values = presort(X)
         self.stages_ = []
         for _ in range(self.n_estimators):
             Z = F - F.max(axis=1, keepdims=True)
@@ -139,19 +144,25 @@ class GradientBoosting:
             residual = Y - P
             stage = []
             for k in range(K):
-                nodes = grow_regression(X, residual[:, k], max_depth=self.max_depth)
-                F[:, k] += self.learning_rate * tree_apply(nodes, X)
+                nodes, leaf = grow_regression(order, values, residual[:, k], self.max_depth)
+                F[:, k] += self.learning_rate * nodes.value[leaf]
                 stage.append(nodes)
             self.stages_.append(stage)
             deviances.append(self._deviance(F, codes))
         self.train_deviance_ = np.asarray(deviances)
         return self
 
-    def decision_function(self, X):
+    def staged_decision_function(self, X):
+        """Scores after each stage, as one array updated in place between
+        yields; the scores after stage s are those of an s-stage fit."""
         F = np.tile(self.init_scores_, (X.shape[0], 1))
         for stage in self.stages_:
             for k, nodes in enumerate(stage):
                 F[:, k] += self.learning_rate * tree_apply(nodes, X)
+            yield F
+
+    def decision_function(self, X):
+        *_, F = self.staged_decision_function(X)
         return F
 
     def predict_codes(self, X) -> np.ndarray:
@@ -160,3 +171,10 @@ class GradientBoosting:
     def predict(self, X):
         X = check_predict_input(self, X)
         return self.classes_[self.predict_codes(X)]
+
+    def staged_predict(self, X):
+        """Labels after each stage: entry s - 1 is what an s-stage fit
+        predicts, since growth ignores the seed and never looks ahead."""
+        X = check_predict_input(self, X)
+        for F in self.staged_decision_function(X):
+            yield self.classes_[np.argmax(F, axis=1)]

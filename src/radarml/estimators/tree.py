@@ -257,59 +257,104 @@ def grow_classification(
     return builder.freeze()
 
 
-def best_split_regression(X, targets, feats):
-    """Exhaustive SSE-minimizing split; None when nothing improves."""
-    m = targets.size
+def presort(X):
+    """Feature-major stable sort of ``X`` for ``grow_regression``.
+
+    Returns (order, values), both (d, n): ``order[f]`` lists the rows by
+    ascending ``X[:, f]``, ties by row index, and ``values[f]`` holds
+    ``X[order[f], f]``.
+    """
+    XT = X.T
+    order = np.argsort(XT, axis=1, kind="stable")
+    return order, np.take_along_axis(XT, order, axis=1)
+
+
+def best_split_regression(order, values, targets):
+    """Exhaustive SSE-minimizing split of one node; None when nothing improves.
+
+    ``order`` and ``values`` are the node's rows of ``presort`` output,
+    one row per feature; ``targets`` is indexed by ``order``. Returns
+    (feature, threshold, gain).
+    """
+    m = order.shape[1]
     if m < 2:
         return None
-    sub = X[:, feats]
-    order = np.argsort(sub, axis=0, kind="stable")
-    sv = np.take_along_axis(sub, order, axis=0)
-    sg = targets[order]
-    csum = np.cumsum(sg, axis=0)[:-1]
-    tot = sg.sum(axis=0)
-    nl = np.arange(1, m, dtype=np.float64)[:, None]
-    nr = m - nl
-    score = csum**2 / nl + (tot[None, :] - csum) ** 2 / nr  # maximize
+    # Sequential prefix sums; the total is their last element, which is
+    # the row-by-row sum of the original (n, d) layout to the last bit.
+    csum = np.cumsum(targets[order], axis=1)
+    tot = csum[:, -1:]
+    csum = csum[:, :-1]
+    nl = np.arange(1, m, dtype=np.float64)
+    # score = csum**2 / nl + (tot - csum)**2 / nr, to maximize; computed
+    # in place, which rounds the same as the expression
+    right = tot - csum
+    right *= right
+    right /= m - nl
+    gain = csum * csum
+    gain /= nl
+    gain += right
     parent = tot**2 / m
-    gain = np.where(sv[:-1] < sv[1:], score - parent[None, :], -np.inf)
-    flat = gain.T.reshape(-1)
+    gain -= parent
+    # sorted values, so a pair that does not increase is a tie
+    np.copyto(gain, -np.inf, where=values[:, 1:] == values[:, :-1])
+    flat = gain.reshape(-1)  # feature-major so argmax ties pick the lowest feature
     j = int(np.argmax(flat))
     best = float(flat[j])
     if not np.isfinite(best) or best <= _REG_GAIN_ATOL * max(1.0, float(np.abs(parent).max())):
         return None
     fi, pos = divmod(j, m - 1)
-    thr = float((sv[pos, fi] + sv[pos + 1, fi]) / 2.0)
-    return int(feats[fi]), thr, best
+    thr = float((values[fi, pos] + values[fi, pos + 1]) / 2.0)
+    return fi, thr, best
 
 
-def grow_regression(X, targets, max_depth) -> TreeNodes:
-    """Mean-leaf regression tree, exhaustive splits over all features."""
-    n_features = X.shape[1]
-    feats = np.arange(n_features)
+def grow_regression(order, values, targets, max_depth):
+    """Mean-leaf regression tree, exhaustive splits over all features.
+
+    ``order`` and ``values`` come from ``presort`` of the training matrix
+    and are carried down by stable partition, so each node's rows stay in
+    the stable sorted order a per-node sort would give. Returns the tree
+    and each training row's leaf index.
+    """
+    n = targets.size
+    leaf = np.empty(n, dtype=np.int64)
     builder = _TreeBuilder()
     root = builder.add()
-    stack = [(np.arange(targets.size), 0, root)]
+    stack = [(np.arange(n), order, values, 0, root)]
     while stack:
-        idx, depth, node = stack.pop()
-        g_node = targets[idx]
-        builder.value[node] = float(g_node.mean())
+        idx, order, values, depth, node = stack.pop()
+        builder.value[node] = float(targets[idx].mean())
+        leaf[idx] = node  # a split overwrites this with the children's
         if idx.size < 2 or depth >= max_depth:
             continue
-        found = best_split_regression(X[idx], g_node, feats)
+        found = best_split_regression(order, values, targets)
         if found is None:
             continue
         feat, thr, _ = found
-        go_left = X[idx, feat] <= thr
+        # rows with value <= thr, which need not be the first pos + 1 when
+        # the midpoint rounds up to the next value
+        n_left = int(np.searchsorted(values[feat], thr, side="right"))
+        go_left = np.zeros(n, dtype=bool)
+        go_left[order[feat, :n_left]] = True
         left_node = builder.add()
         right_node = builder.add()
         builder.feature[node] = feat
         builder.threshold[node] = thr
         builder.left[node] = left_node
         builder.right[node] = right_node
-        stack.append((idx[~go_left], depth + 1, right_node))
-        stack.append((idx[go_left], depth + 1, left_node))
-    return builder.freeze()
+        # children at max_depth are never split, so they skip the partition
+        order_left = go_left[order] if depth + 1 < max_depth else None
+        for side, child in ((False, right_node), (True, left_node)):
+            rows = idx[go_left[idx] == side]
+            if order_left is None:
+                stack.append((rows, None, None, depth + 1, child))
+                continue
+            # flat positions, row by row, so each feature keeps its order
+            keep = np.flatnonzero(order_left == side)
+            shape = (order.shape[0], rows.size)
+            stack.append(
+                (rows, order.take(keep).reshape(shape), values.take(keep).reshape(shape), depth + 1, child)
+            )
+    return builder.freeze(), leaf
 
 
 def tree_apply(nodes: TreeNodes, X) -> np.ndarray:

@@ -129,15 +129,45 @@ def select_best(candidates) -> int:
     return best
 
 
-def cross_val_scores(kind, params, X, y, folds, seed=0):
-    """Accuracy (percent) on each fold's validation split."""
+def cross_val_scores(kind, params, X, y, folds, seed=0, stages=None):
+    """Accuracy (percent) on each fold's validation split.
+
+    With ``stages``, values of the class's ``staged_param`` no larger than
+    the one in ``params``, each fold's model is fit once and scored after
+    each of those stages; the result is then one tuple per entry of
+    ``stages``, in its order.
+    """
     cls = ESTIMATOR_CLASSES[kind]
-    scores = []
+    per_fold = []
     for fi, (tr, va) in enumerate(folds):
         model = cls(**params, seed=derive_seed(seed, fi))
         model.fit(X[tr], y[tr])
-        scores.append(accuracy_percent(y[va], model.predict(X[va])))
-    return tuple(scores)
+        if stages is None:
+            per_fold.append(accuracy_percent(y[va], model.predict(X[va])))
+        else:
+            staged = list(model.staged_predict(X[va]))
+            per_fold.append([accuracy_percent(y[va], staged[s - 1]) for s in stages])
+    if stages is None:
+        return tuple(per_fold)
+    return [tuple(scores) for scores in zip(*per_fold)]
+
+
+def _shared_fits(cls, candidates):
+    """Candidates grouped by the one fit per fold that scores them all.
+
+    Each group lists (candidate index, stage) pairs. A class that declares
+    ``staged_param`` shares a fit among candidates that differ only in
+    that parameter, with the stage being its value and the largest, the
+    one to fit, last. Any other class fits each candidate, stage None.
+    """
+    staged = getattr(cls, "staged_param", None)
+    if staged is None:
+        return [[(ci, None)] for ci in range(len(candidates))]
+    groups = {}
+    for ci, params in enumerate(candidates):
+        rest = tuple(sorted((k, v) for k, v in params.items() if k != staged))
+        groups.setdefault(rest, []).append((getattr(cls(**params), staged), ci))
+    return [[(ci, stage) for stage, ci in sorted(group)] for group in groups.values()]
 
 
 @dataclass
@@ -152,7 +182,11 @@ class GridSearchResult:
 
 
 def grid_search(kind, X, y, folds, seed=0, candidates=None) -> GridSearchResult:
-    """Score every candidate by CV and pick the max-min-fold winner."""
+    """Score every candidate by CV and pick the max-min-fold winner.
+
+    Candidates of a class that declares ``staged_param`` and differ only
+    in it are scored from one fit per fold, at their largest value.
+    """
     if kind not in ESTIMATOR_CLASSES:
         raise ValueError(f"unknown estimator kind {kind!r}")
     if candidates is None:
@@ -161,10 +195,17 @@ def grid_search(kind, X, y, folds, seed=0, candidates=None) -> GridSearchResult:
         candidates = [validate_params(kind, p) for p in candidates]
     if not candidates:
         raise ValueError("candidate list is empty")
-    scored = [
-        CandidateScore(params, cross_val_scores(kind, params, X, y, folds, seed=derive_seed(seed, ci)))
-        for ci, params in enumerate(candidates)
-    ]
+    fold_scores = {}
+    for group in _shared_fits(ESTIMATOR_CLASSES[kind], candidates):
+        top, stage = group[-1]
+        cv_seed = derive_seed(seed, top)
+        if stage is None:
+            fold_scores[top] = cross_val_scores(kind, candidates[top], X, y, folds, seed=cv_seed)
+        else:
+            stages = [s for _, s in group]
+            per_stage = cross_val_scores(kind, candidates[top], X, y, folds, seed=cv_seed, stages=stages)
+            fold_scores.update(zip([ci for ci, _ in group], per_stage))
+    scored = [CandidateScore(params, fold_scores[ci]) for ci, params in enumerate(candidates)]
     return GridSearchResult(kind=kind, candidates=scored, best_index=select_best(scored))
 
 

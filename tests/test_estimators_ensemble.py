@@ -18,6 +18,13 @@ def blobs(n_per=15, seed=0, spread=0.6):
     return X, y
 
 
+def overlapping(n_per=12, seed=0):
+    """Three classes that overlap, plus two pure-noise features."""
+    rng = np.random.default_rng(seed)
+    X, y = blobs(n_per=n_per, seed=seed, spread=3.0)
+    return np.column_stack([X, rng.normal(size=(y.size, 2))]), y
+
+
 def leaf(value):
     return TreeNodes(
         feature=np.array([-1]),
@@ -137,3 +144,35 @@ class TestGradientBoosting:
         y = np.array([0] * 30 + [1] * 10)
         model = GradientBoosting(n_estimators=2).fit(X, y)
         np.testing.assert_allclose(model.init_scores_, np.log([0.75, 0.25]))
+
+    def test_stage_prefix_is_the_shorter_fit(self):
+        X, y = overlapping()
+        X_new, _ = overlapping(seed=1)
+        full = GradientBoosting(n_estimators=32).fit(X, y)
+        half = GradientBoosting(n_estimators=16).fit(X, y)
+        assert [[nested(t) for t in s] for s in full.stages_[:16]] == [
+            [nested(t) for t in s] for s in half.stages_
+        ]
+        scores = [F.copy() for F in full.staged_decision_function(X_new)]
+        assert len(scores) == 32
+        assert np.array_equal(scores[15], half.decision_function(X_new))
+        assert np.array_equal(scores[31], full.decision_function(X_new))
+        assert not np.array_equal(scores[15], scores[31])
+        labels = list(full.staged_predict(X_new))
+        assert np.array_equal(labels[15], half.predict(X_new))
+        assert np.array_equal(labels[31], full.predict(X_new))
+
+    def test_seed_does_not_change_the_fit(self):
+        X, y = overlapping(seed=2)
+        a = GradientBoosting(n_estimators=8, seed=0).fit(X, y)
+        b = GradientBoosting(n_estimators=8, seed=1).fit(X, y)
+        assert [[nested(t) for t in s] for s in a.stages_] == [[nested(t) for t in s] for s in b.stages_]
+
+    def test_training_scores_match_decision_function(self):
+        # the fit adds each training row's leaf value instead of applying
+        # the tree, so its recorded deviances must be those of the scores
+        # decision_function gives after each stage, to the last bit
+        X, y = overlapping(seed=3)
+        model = GradientBoosting(n_estimators=12, learning_rate=1.0).fit(X, y)
+        deviances = [GradientBoosting._deviance(F, y) for F in model.staged_decision_function(X)]
+        assert np.array_equal(model.train_deviance_[1:], deviances)

@@ -7,6 +7,7 @@ from radarml.estimators.tree import (
     best_split_regression,
     grow_regression,
     impurity,
+    presort,
     resolve_max_features,
     tree_apply,
 )
@@ -244,24 +245,24 @@ class TestRegressionTree:
     def test_step_function_recovered(self):
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
         g = np.array([-1.0, -1.0, 2.0, 2.0])
-        nodes = grow_regression(X, g, max_depth=3)
+        nodes, _ = grow_regression(*presort(X), g, max_depth=3)
         assert as_nested(nodes) == (0, 1.5, ("leaf", -1.0), ("leaf", 2.0))
         np.testing.assert_array_equal(tree_apply(nodes, X), g)
 
     def test_constant_targets_stay_a_leaf(self):
         X = np.arange(8.0).reshape(-1, 1)
-        nodes = grow_regression(X, np.full(8, 5.0), max_depth=3)
+        nodes, _ = grow_regression(*presort(X), np.full(8, 5.0), max_depth=3)
         assert nodes.n_nodes == 1
         assert nodes.value[0] == 5.0
 
     def test_no_split_returns_none_on_constant_targets(self):
         X = np.arange(6.0).reshape(-1, 1)
-        assert best_split_regression(X, np.ones(6), np.array([0])) is None
+        assert best_split_regression(*presort(X), np.ones(6)) is None
 
     def test_depth_zero_is_global_mean(self):
         X = np.arange(10.0).reshape(-1, 1)
         g = np.arange(10.0)
-        nodes = grow_regression(X, g, max_depth=0)
+        nodes, _ = grow_regression(*presort(X), g, max_depth=0)
         assert nodes.n_nodes == 1
         assert nodes.value[0] == pytest.approx(4.5)
 
@@ -269,8 +270,94 @@ class TestRegressionTree:
         rng = np.random.default_rng(5)
         X = rng.normal(size=(40, 3))
         g = rng.normal(size=40)
-        nodes = grow_regression(X, g, max_depth=2)
+        nodes, _ = grow_regression(*presort(X), g, max_depth=2)
         pred = tree_apply(nodes, X)
         for leaf in np.unique(pred):
             members = g[pred == leaf]
             assert leaf == pytest.approx(members.mean(), abs=1e-12)
+
+    def test_midpoint_of_adjacent_floats(self):
+        # the midpoint of two adjacent floats rounds to one of them; the
+        # rows that go left are still exactly those with value <= threshold
+        a = 1.0
+        X = np.array([[a], [np.nextafter(a, 2.0)], [a]])
+        g = np.array([0.0, 1.0, 0.0])
+        nodes, leaf = grow_regression(*presort(X), g, max_depth=1)
+        assert as_nested(nodes) == (0, a, ("leaf", 0.0), ("leaf", 1.0))
+        assert np.array_equal(nodes.value[leaf], tree_apply(nodes, X))
+
+    @pytest.mark.parametrize("discrete", [False, True])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_training_leaves_match_tree_apply(self, discrete, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(50, 6))
+        if discrete:
+            X = np.round(X)
+        g = rng.normal(size=50)
+        nodes, leaf = grow_regression(*presort(X), g, max_depth=3)
+        assert np.array_equal(nodes.value[leaf], tree_apply(nodes, X))
+        assert np.all(nodes.feature[leaf] == -1)
+
+
+# ---------------------------------------------------------------------------
+# brute-force partner for regression trees: every midpoint between distinct
+# values of every feature, scored with plain Python sums. Targets are
+# multiples of 1/4, so every sum is exact and gains tie exactly where the
+# true gains tie.
+
+
+def oracle_grow_regression(X, g, max_depth, depth=0):
+    value = float(g.mean())
+    if g.size < 2 or depth >= max_depth:
+        return ("leaf", value)
+    total = sum(g.tolist())
+    parent = total**2 / g.size
+    best = None
+    for f in range(X.shape[1]):
+        vals = sorted(set(X[:, f].tolist()))
+        for a, b in zip(vals[:-1], vals[1:]):
+            thr = (a + b) / 2.0
+            left = [t for x, t in zip(X[:, f], g) if x <= thr]
+            s_left = sum(left)
+            s_right = total - s_left
+            n_left = len(left)
+            n_right = g.size - n_left
+            gain = s_left**2 / n_left + s_right**2 / n_right - parent
+            if best is None or gain > best[0]:
+                best = (gain, f, thr)
+    if best is None or best[0] <= 1e-12 * max(1.0, abs(parent)):
+        return ("leaf", value)
+    _, f, thr = best
+    mask = X[:, f] <= thr
+    return (
+        f,
+        thr,
+        oracle_grow_regression(X[mask], g[mask], max_depth, depth + 1),
+        oracle_grow_regression(X[~mask], g[~mask], max_depth, depth + 1),
+    )
+
+
+class TestRegressionStructureVsBruteForce:
+    @pytest.mark.parametrize("max_depth", [0, 1, 2, 3])
+    @pytest.mark.parametrize("n,d,levels,seed", [
+        (8, 1, 3, 0),
+        (16, 4, 3, 1),
+        (24, 5, 2, 2),
+        (30, 3, 4, 3),
+        (40, 6, 3, 4),
+    ])
+    def test_discrete_features_heavy_ties(self, max_depth, n, d, levels, seed):
+        rng = np.random.default_rng(200 + seed)
+        X = rng.integers(0, levels, size=(n, d)).astype(np.float64)
+        g = rng.integers(-4, 5, size=n) / 4.0
+        nodes, _ = grow_regression(*presort(X), g, max_depth=max_depth)
+        assert as_nested(nodes) == oracle_grow_regression(X, g, max_depth)
+
+    def test_duplicate_columns_pick_the_lowest_feature(self):
+        rng = np.random.default_rng(9)
+        col = rng.integers(0, 3, size=20).astype(np.float64)
+        X = np.column_stack([np.zeros(20), col, col])
+        g = rng.integers(-4, 5, size=20) / 4.0
+        nodes, _ = grow_regression(*presort(X), g, max_depth=2)
+        assert as_nested(nodes) == oracle_grow_regression(X, g, 2)
+        assert nodes.feature[0] == 1

@@ -11,6 +11,7 @@ from radarml.modelsel import (
     stratified_kfold,
     stratified_split,
 )
+from radarml.seeding import derive_seed
 
 
 def features_for(y, seed=0, jitter=0.3):
@@ -159,6 +160,24 @@ class TestGridSearch:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             grid_search("naive_bayes", np.zeros((4, 2)), [0, 0, 1, 1], [])
+
+
+class TestStagedGridSearch:
+    @pytest.mark.parametrize("counts", [(16, 32, 64), (32, 16)])
+    def test_matches_one_fit_per_candidate(self, counts):
+        y = np.repeat([0, 1, 2], 20)
+        rng = np.random.default_rng(4)
+        X = np.column_stack([features_for(y, jitter=3.0), rng.normal(size=(y.size, 2))])
+        folds = stratified_kfold(y, 3, seed=0)
+        candidates = [{"n_estimators": n, "learning_rate": lr} for n in counts for lr in (0.5, 1.0)]
+        result = grid_search("gradient_boosting", X, y, folds, seed=7, candidates=candidates)
+        expected = [
+            CandidateScore(p, cross_val_scores("gradient_boosting", p, X, y, folds, seed=derive_seed(7, ci)))
+            for ci, p in enumerate(candidates)
+        ]
+        assert result.candidates == expected
+        assert result.best_index == select_best(expected)
+        assert len({c.scores for c in expected}) > 1
 
 
 class TestEvaluateKinds:

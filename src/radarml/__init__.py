@@ -22,13 +22,11 @@ from .sigproc import (
 )
 from .synth import (
     SPEED_OF_LIGHT,
-    RadarScan,
     Scenario,
     TargetState,
     generate_dataset,
     place_target_for_label,
     pulse_samples,
-    synthesize_scan,
 )
 
 __version__ = "0.1.0"
@@ -57,9 +55,7 @@ __all__ = [
     "SPEED_OF_LIGHT",
     "Scenario",
     "TargetState",
-    "RadarScan",
     "pulse_samples",
-    "synthesize_scan",
     "place_target_for_label",
     "generate_dataset",
 ]

@@ -5,15 +5,20 @@ Subcommands:
   run       tune and evaluate estimators on previously generated pairs
   report    rank estimators per dataset and rewrite the aggregate table
 
-Exit codes: 0 success, 2 configuration error, 3 missing input,
-4 estimator failure. All outputs are written atomically and reruns with
-the same seed reproduce dataset files and the aggregate table byte for
-byte.
+Exit codes: 0 success, 2 configuration error, 3 missing or corrupt
+input, 4 estimator failure. Code 3 covers a dataset file or report that
+is absent, a ``.rds`` file that is truncated or does not follow the
+documented layout (``run``), and a report JSON that does not parse or
+lacks a field the ranking reads (``report``); each prints one line to
+stderr naming the file. All outputs are written atomically and reruns
+with the same seed reproduce dataset files and the aggregate table byte
+for byte.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -30,6 +35,7 @@ from .config import (
 )
 from .dataset import (
     DATA_TYPES,
+    DatasetFormatError,
     LabeledDataset,
     load_dataset,
     save_dataset,
@@ -56,6 +62,10 @@ _SCHEME_ORDER = ("simple4", "grid10")
 
 class MissingInputError(FileNotFoundError):
     pass
+
+
+class CorruptInputError(ValueError):
+    """An input file exists but does not hold what its name promises."""
 
 
 def _dataset_paths(out_dir, dataset_id):
@@ -88,49 +98,33 @@ def _sidecar(ds: LabeledDataset, entry, config: ExperimentConfig, role, counterp
         "n_bins": int(ds.n_bins),
         "n_dropped": int(ds.n_dropped),
         "class_counts": {int(c): int(n) for c, n in enumerate(counts)},
-        "scenario": {
-            "scenario_id": entry.scenario.scenario_id,
-            "environment": entry.scenario.environment,
-            "n_bins": entry.scenario.n_bins,
-            "bin_duration_ps": entry.scenario.bin_duration_ps,
-            "clutter_amplitude": entry.scenario.clutter_amplitude,
-            "clutter_path_count": entry.scenario.clutter_path_count,
-            "noise_sigma": entry.scenario.noise_sigma,
-            "direct_path_amplitude": entry.scenario.direct_path_amplitude,
-            "seed": entry.scenario.seed,
-            "pulse_center_freq_hz": entry.scenario.pulse_center_freq_hz,
-            "pulse_sigma_ps": entry.scenario.pulse_sigma_ps,
-            "amplitude_exponent": entry.scenario.amplitude_exponent,
-        },
-        "target": {
-            "reflectivity": config.target.reflectivity,
-            "jitter_sigma": config.target.jitter_sigma,
-            "min_range": config.target.min_range,
-        },
+        "scenario": dataclasses.asdict(entry.scenario),
+        "target": dataclasses.asdict(config.target),
         "experiment_seed": config.seed,
     }
     return yaml.safe_dump(meta, sort_keys=True).encode("utf-8")
 
 
-def _generate_group(config: ExperimentConfig, scenario, scheme, data_types, out_dir):
-    """Synthesize one (scenario, scheme) raw set and write its splits."""
+def _generate_group(config: ExperimentConfig, keys, members, out_dir):
+    """Synthesize the raw set of one (scenario, scheme) and write the
+    split of each of its plan entries.
+
+    ``keys`` are the group's (scenario, scheme) seed keys and ``members``
+    its (plan entry, data type key) pairs, in plan order.
+    """
     written = []
-    si = [s.scenario_id for s in config.scenarios].index(scenario.scenario_id)
-    schi = _SCHEME_ORDER.index(scheme)
+    si, schi = keys
+    first = members[0][0]
     raw = generate_dataset(
-        scenario,
-        config.scheme_object(scheme),
+        first.scenario,
+        config.scheme_object(first.scheme),
         config.n_per_class,
         derive_seed(config.seed, _GEN_KEY, si, schi),
         reflectivity=config.target.reflectivity,
         jitter_sigma=config.target.jitter_sigma,
         min_range=config.target.min_range,
     )
-    plan = build_plan(config, out_dir, data_types)
-    for entry in plan.entries:
-        if entry.scenario.scenario_id != scenario.scenario_id or entry.scheme != scheme:
-            continue
-        _, _, dti = _entry_keys(config, entry)
+    for entry, dti in members:
         derived = standardize_dataset(derive_dataset(raw, entry.data_type))
         split_seed = derive_seed(config.seed, _SPLIT_KEY, si, schi, dti)
         tr_idx, te_idx = stratified_split(derived.labels, config.train_fraction, split_seed)
@@ -151,11 +145,11 @@ def _generate_group_star(args):
 
 
 def cmd_generate(config: ExperimentConfig, out_dir, data_types, jobs) -> int:
-    groups = [
-        (config, scenario, scheme, data_types, out_dir)
-        for scenario in config.scenarios
-        for scheme in config.schemes
-    ]
+    members = {}  # (scenario, scheme) keys -> [(entry, data type key)], plan order
+    for entry in build_plan(config, out_dir, data_types).entries:
+        si, schi, dti = _entry_keys(config, entry)
+        members.setdefault((si, schi), []).append((entry, dti))
+    groups = [(config, keys, group, out_dir) for keys, group in members.items()]
     if jobs > 1 and len(groups) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_generate_group_star, groups))
@@ -249,6 +243,36 @@ def cmd_run(config: ExperimentConfig, out_dir, data_types, estimators, jobs) -> 
     return EXIT_ESTIMATOR if failed else EXIT_OK
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _load_report(path):
+    """One report payload as ``run`` writes it; CorruptInputError when the
+    file does not parse or lacks a field that ``report`` reads."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise CorruptInputError(f"{path}: not valid JSON ({exc})") from None
+    if not (
+        isinstance(payload, dict)
+        and isinstance(payload.get("dataset_id"), str)
+        and isinstance(payload.get("estimators"), dict)
+        and isinstance(payload.get("errors", {}), dict)
+        and all(
+            kind in KINDS
+            and isinstance(report, dict)
+            and _is_number(report.get("test_accuracy"))
+            and _is_number(report.get("validation_accuracy"))
+            and "best_params" in report
+            for kind, report in payload["estimators"].items()
+        )
+    ):
+        raise CorruptInputError(f"{path}: not a radarml report")
+    return payload
+
+
 def cmd_report(out_dir) -> int:
     reports_dir = os.path.join(out_dir, "reports")
     try:
@@ -262,8 +286,7 @@ def cmd_report(out_dir) -> int:
     payloads = []
     estimators_seen = []
     for name in names:
-        with open(os.path.join(reports_dir, name), "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
+        payload = _load_report(os.path.join(reports_dir, name))
         payloads.append(payload)
         for kind in payload["estimators"]:
             if kind not in estimators_seen:
@@ -389,6 +412,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except MissingInputError as exc:
         print(f"missing input: {exc}", file=sys.stderr)
+        return EXIT_MISSING
+    except (DatasetFormatError, CorruptInputError) as exc:
+        print(f"corrupt input: {exc}", file=sys.stderr)
         return EXIT_MISSING
 
 

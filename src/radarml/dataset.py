@@ -26,6 +26,7 @@ from __future__ import annotations
 import io
 import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -123,21 +124,24 @@ def _read_exact(fh, n: int) -> bytes:
 
 def _unpack_str(fh) -> str:
     (length,) = struct.unpack("<H", _read_exact(fh, 2))
-    return _read_exact(fh, length).decode("utf-8")
+    try:
+        return _read_exact(fh, length).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DatasetFormatError(f"header string is not UTF-8: {exc}") from None
 
 
-def dataset_to_bytes(ds: LabeledDataset) -> bytes:
-    """Serialize to the documented binary layout (history is not stored)."""
-    out = io.BytesIO()
-    out.write(MAGIC)
-    out.write(struct.pack("<I", FORMAT_VERSION))
-    out.write(struct.pack("<QQ", ds.n_examples, ds.n_bins))
-    out.write(_pack_str(ds.scheme))
-    out.write(_pack_str(ds.data_type))
-    out.write(_pack_str(ds.scenario_id))
-    out.write(np.ascontiguousarray(ds.scans, dtype="<f8").tobytes())
-    out.write(np.ascontiguousarray(ds.labels, dtype="<i8").tobytes())
-    return out.getvalue()
+def write_dataset(ds: LabeledDataset, fh) -> None:
+    """Write the documented binary layout to a binary file (history is
+    not stored). The scan and label buffers go to ``fh`` as they are, so
+    no copy of the file is built in memory."""
+    fh.write(MAGIC)
+    fh.write(struct.pack("<I", FORMAT_VERSION))
+    fh.write(struct.pack("<QQ", ds.n_examples, ds.n_bins))
+    fh.write(_pack_str(ds.scheme))
+    fh.write(_pack_str(ds.data_type))
+    fh.write(_pack_str(ds.scenario_id))
+    fh.write(np.ascontiguousarray(ds.scans, dtype="<f8"))
+    fh.write(np.ascontiguousarray(ds.labels, dtype="<i8"))
 
 
 def dataset_from_bytes(buf: bytes) -> LabeledDataset:
@@ -155,27 +159,44 @@ def dataset_from_bytes(buf: bytes) -> LabeledDataset:
     labels = np.frombuffer(_read_exact(fh, 8 * n_examples), dtype="<i8")
     if fh.read(1):
         raise DatasetFormatError("trailing bytes after dataset payload")
-    return LabeledDataset(
-        scans=scans.reshape(n_examples, n_bins).copy(),
-        labels=labels.copy(),
-        scheme=scheme,
-        data_type=data_type,
-        scenario_id=scenario_id,
-    )
+    try:
+        return LabeledDataset(
+            scans=scans.reshape(n_examples, n_bins).copy(),
+            labels=labels.copy(),
+            scheme=scheme,
+            data_type=data_type,
+            scenario_id=scenario_id,
+        )
+    except ValueError as exc:
+        raise DatasetFormatError(f"invalid dataset payload: {exc}") from None
 
 
-def write_atomic(path: str, data: bytes) -> None:
-    """Write-then-rename so readers never observe a partial file."""
+@contextmanager
+def _atomic_file(path: str):
+    """Binary file that appears at ``path`` only once fully written
+    (write-then-rename), so readers never observe a partial file."""
     tmp = f"{path}.tmp.{os.getpid()}"
     with open(tmp, "wb") as fh:
-        fh.write(data)
+        yield fh
     os.replace(tmp, path)
 
 
+def write_atomic(path: str, data: bytes) -> None:
+    with _atomic_file(path) as fh:
+        fh.write(data)
+
+
 def save_dataset(ds: LabeledDataset, path: str) -> None:
-    write_atomic(path, dataset_to_bytes(ds))
+    with _atomic_file(path) as fh:
+        write_dataset(ds, fh)
 
 
 def load_dataset(path: str) -> LabeledDataset:
+    """Read a dataset file; DatasetFormatError (naming the file) when its
+    bytes do not follow the documented layout."""
     with open(path, "rb") as fh:
-        return dataset_from_bytes(fh.read())
+        buf = fh.read()
+    try:
+        return dataset_from_bytes(buf)
+    except DatasetFormatError as exc:
+        raise DatasetFormatError(f"{path}: {exc}") from None

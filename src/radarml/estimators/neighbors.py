@@ -6,8 +6,11 @@ import numpy as np
 
 from .base import check_predict_input, encode_training_data
 
-# Query rows per distance block; keeps the (chunk, n_train) buffer small.
-_CHUNK = 256
+# Elements of the (rows, n_train, n_features) difference temporary per
+# distance block: 1 MB of float64, so a block stays in cache (at least one
+# row per block). Each query row's sums do not depend on the other rows of
+# its block, so the block size never changes a distance.
+_BLOCK_ELEMENTS = 1 << 17
 
 
 def _pairwise_sq_distances(A, B):
@@ -46,8 +49,9 @@ class KNearestNeighbors:
         k = self.n_neighbors
         n_classes = len(self.classes_)
         out = np.empty(X.shape[0], dtype=np.int64)
-        for start in range(0, X.shape[0], _CHUNK):
-            block = X[start : start + _CHUNK]
+        rows = max(1, _BLOCK_ELEMENTS // self._X.size)
+        for start in range(0, X.shape[0], rows):
+            block = X[start : start + rows]
             d2 = _pairwise_sq_distances(block, self._X)
             # stable sort so equal distances keep training order
             nearest = np.argsort(d2, axis=1, kind="stable")[:, :k]

@@ -124,6 +124,16 @@ def _weighted_child_impurity(left, right, nl, nr, criterion):
     return (nl * imp_l + nr * imp_r) / (nl + nr)
 
 
+def _midpoint(a, b) -> float:
+    """Threshold between sorted values a < b that sends a left and b right.
+
+    (a + b) / 2 rounds up to b when a and b are adjacent floats; a is
+    then the threshold.
+    """
+    mid = float((a + b) / 2.0)
+    return mid if mid < b else float(a)
+
+
 def best_split_exhaustive(X, codes, n_classes, feats, criterion):
     """Best (feature, threshold) over all midpoint thresholds of ``feats``.
 
@@ -156,8 +166,7 @@ def best_split_exhaustive(X, codes, n_classes, feats, criterion):
     if gain <= 0.0:
         return None
     fi, pos = divmod(j, m - 1)
-    thr = float((sv[pos, fi] + sv[pos + 1, fi]) / 2.0)
-    return int(feats[fi]), thr, gain
+    return int(feats[fi]), _midpoint(sv[pos, fi], sv[pos + 1, fi]), gain
 
 
 def best_split_random(X, codes, n_classes, feats, criterion, rng):
@@ -303,8 +312,7 @@ def best_split_regression(order, values, targets):
     if not np.isfinite(best) or best <= _REG_GAIN_ATOL * max(1.0, float(np.abs(parent).max())):
         return None
     fi, pos = divmod(j, m - 1)
-    thr = float((values[fi, pos] + values[fi, pos + 1]) / 2.0)
-    return fi, thr, best
+    return fi, _midpoint(values[fi, pos], values[fi, pos + 1]), best
 
 
 def grow_regression(order, values, targets, max_depth):
@@ -330,8 +338,6 @@ def grow_regression(order, values, targets, max_depth):
         if found is None:
             continue
         feat, thr, _ = found
-        # rows with value <= thr, which need not be the first pos + 1 when
-        # the midpoint rounds up to the next value
         n_left = int(np.searchsorted(values[feat], thr, side="right"))
         go_left = np.zeros(n, dtype=bool)
         go_left[order[feat, :n_left]] = True

@@ -4,8 +4,9 @@ The baseband representation is the magnitude of the analytic signal,
 computed with the frequency-domain Hilbert construction. The motion
 filter is a second-order difference across three consecutive slow-time
 scans, taken independently per fast-time bin, which cancels anything
-static. Standardization centers a single vector and scales it to unit
-population standard deviation.
+static. Standardization centers each vector and scales it to unit
+population standard deviation; ``standardize_rows`` is the one place
+that decides which rows are too flat to standardize.
 """
 
 from __future__ import annotations
@@ -23,11 +24,11 @@ class DegenerateScanError(ValueError):
     """Scan with zero standard deviation; cannot be standardized."""
 
 
-def _as_finite_vector(x, min_len: int = 1) -> np.ndarray:
+def _as_finite(x, min_len: int = 1, max_ndim: int = 1) -> np.ndarray:
     v = np.asarray(x, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValueError("expected a 1-D sample vector")
-    if v.size < min_len:
+    if not 1 <= v.ndim <= max_ndim:
+        raise ValueError("expected a 1-D sample vector" if max_ndim == 1 else "expected a vector or a matrix")
+    if v.shape[-1] < min_len:
         raise ValueError(f"sample vector must have at least {min_len} elements")
     if not np.all(np.isfinite(v)):
         raise ValueError("sample vector contains non-finite values")
@@ -38,50 +39,36 @@ def analytic_envelope(scan) -> np.ndarray:
     """|analytic signal| via FFT: zero negative frequencies, double positive
     ones, keep DC and Nyquist, inverse transform, magnitude.
 
-    Odd-length inputs are zero-padded to the next even length for the
-    transform; the output is truncated back, so its length always equals
-    the input length. Inputs shorter than 8 samples are rejected.
+    Works along the last axis, so a matrix gives one envelope per row in
+    one transform; each row equals the call on that row alone. Odd lengths
+    are zero-padded to the next even length for the transform and the
+    output is truncated back, so its shape always equals the input shape.
+    Rows shorter than 8 samples are rejected.
     """
-    x = _as_finite_vector(scan, min_len=8)
-    n = x.size
-    if n % 2:
-        x = np.concatenate([x, [0.0]])
-    m = x.size
-    spectrum = np.fft.fft(x)
+    x = _as_finite(scan, min_len=8, max_ndim=2)
+    n = x.shape[-1]
+    m = n + n % 2
+    spectrum = np.fft.fft(x, n=m, axis=-1)
     weights = np.zeros(m)
     weights[0] = 1.0
     weights[m // 2] = 1.0
     weights[1 : m // 2] = 2.0
-    env = np.abs(np.fft.ifft(spectrum * weights))
-    return env[:n]
+    spectrum *= weights
+    analytic = np.fft.ifft(spectrum, axis=-1, out=spectrum)
+    return np.abs(analytic[..., :n])
 
 
 def motion_filter(scan_t, scan_t1, scan_t2) -> np.ndarray:
     """Second-order slow-time difference per fast-time bin.
 
     ``scan_t1`` and ``scan_t2`` are the scans one and two slow-time steps
-    before ``scan_t``; the output is scan_t - 2*scan_t1 + scan_t2.
+    before ``scan_t``; the output is scan_t - 2*scan_t1 + scan_t2. The
+    arguments may be vectors or matrices of one shape (one scan per row).
     """
-    a = _as_finite_vector(scan_t)
-    b = _as_finite_vector(scan_t1)
-    c = _as_finite_vector(scan_t2)
-    if not (a.size == b.size == c.size):
+    a, b, c = (_as_finite(s, max_ndim=2) for s in (scan_t, scan_t1, scan_t2))
+    if not (a.shape == b.shape == c.shape):
         raise ValueError("motion filter needs three scans of equal length")
     return a - 2.0 * b + c
-
-
-def _spread(x: np.ndarray) -> tuple[float, float]:
-    mu = float(x.mean())
-    sigma = float(np.sqrt(np.mean((x - mu) ** 2)))
-    return mu, sigma
-
-
-def is_degenerate(x) -> bool:
-    """True when the vector is constant to within floating-point noise."""
-    v = np.asarray(x, dtype=np.float64)
-    _, sigma = _spread(v)
-    scale = max(1.0, float(np.max(np.abs(v)))) if v.size else 1.0
-    return sigma <= _DEGENERATE_RTOL * scale
 
 
 def standardize(x) -> np.ndarray:
@@ -90,31 +77,33 @@ def standardize(x) -> np.ndarray:
     Raises DegenerateScanError for constant vectors; dataset pipelines
     drop such examples and count them rather than aborting.
     """
-    v = _as_finite_vector(x, min_len=2)
-    mu, sigma = _spread(v)
-    if sigma <= _DEGENERATE_RTOL * max(1.0, float(np.max(np.abs(v)))):
+    Z, kept = standardize_rows(_as_finite(x, min_len=2)[None, :])
+    if not kept[0]:
         raise DegenerateScanError("constant scan has zero standard deviation")
-    return (v - mu) / sigma
+    return Z[0]
 
 
 def standardize_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-row standardization of a scan matrix.
 
-    Returns (Z, kept_mask); degenerate rows are excluded from Z and
-    marked False in the mask.
+    Returns (Z, kept_mask). A row is degenerate, excluded from Z and
+    marked False in the mask, when its population spread is at most
+    ``_DEGENERATE_RTOL`` times max(1, its largest magnitude).
     """
     X = np.asarray(X, dtype=np.float64)
-    mu = X.mean(axis=1, keepdims=True)
-    centered = X - mu
-    sigma = np.sqrt(np.mean(centered**2, axis=1))
-    scale = np.maximum(1.0, np.max(np.abs(X), axis=1, initial=0.0))
-    kept = sigma > _DEGENERATE_RTOL * scale
-    Z = centered[kept] / sigma[kept, None]
+    Z = X - X.mean(axis=1, keepdims=True)
+    sigma = np.sqrt(np.mean(Z**2, axis=1))
+    largest = np.maximum(np.max(X, axis=1, initial=0.0), -np.min(X, axis=1, initial=0.0))
+    kept = sigma > _DEGENERATE_RTOL * np.maximum(1.0, largest)
+    if not kept.all():
+        Z = Z[kept]
+    Z /= sigma[kept, None]
     return Z, kept
 
 
 def standardize_dataset(ds: LabeledDataset) -> LabeledDataset:
-    """Standardize every example of a dataset, dropping degenerate rows."""
+    """Standardize every example of a dataset; degenerate rows are
+    dropped and counted in ``n_dropped``."""
     Z, kept = standardize_rows(ds.scans)
     return LabeledDataset(
         scans=Z,
@@ -132,29 +121,25 @@ def derive_dataset(raw: LabeledDataset, data_type: str) -> LabeledDataset:
 
     raw keeps the slow-time-t scan; baseband takes its envelope;
     motion_filtered runs the second-order difference over the stored
-    triple. Examples whose derived vector is constant are dropped and
-    counted in ``n_dropped``.
+    triple. Every example is kept: ``standardize_dataset`` drops the
+    ones whose derived vector is constant.
     """
     if data_type not in DATA_TYPES:
         raise ValueError(f"unknown data_type {data_type!r}")
     if data_type == "raw":
-        features = raw.scans.copy()
+        features = raw.scans
     elif data_type == "baseband":
-        features = np.stack([analytic_envelope(row) for row in raw.scans])
+        features = analytic_envelope(raw.scans)
     else:
         if raw.history is None:
             raise ValueError("motion_filtered derivation needs the slow-time triples")
-        features = raw.scans - 2.0 * raw.history[:, 1, :] + raw.history[:, 0, :]
-    mu = features.mean(axis=1, keepdims=True)
-    sigma = np.sqrt(np.mean((features - mu) ** 2, axis=1))
-    scale = np.maximum(1.0, np.max(np.abs(features), axis=1, initial=0.0))
-    kept = sigma > _DEGENERATE_RTOL * scale
+        features = motion_filter(raw.scans, raw.history[:, 1], raw.history[:, 0])
     return LabeledDataset(
-        scans=features[kept],
-        labels=raw.labels[kept],
+        scans=features,
+        labels=raw.labels,
         scheme=raw.scheme,
         data_type=data_type,
         scenario_id=raw.scenario_id,
         history=None,
-        n_dropped=raw.n_dropped + int(np.sum(~kept)),
+        n_dropped=raw.n_dropped,
     )

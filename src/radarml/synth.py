@@ -15,7 +15,6 @@ left/right ambiguity of a single monostatic radar.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -40,6 +39,9 @@ DEFAULT_JITTER_SIGMA = 0.06  # m per-scan radial micro-motion
 
 # Clutter echoes keep clear of the scan edges by this many pulse widths.
 _CLUTTER_EDGE_SIGMAS = 6.0
+
+# Examples per synthesis block: a block's pulse temporaries stay under 1 MB each.
+_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -117,33 +119,23 @@ class TargetState:
             raise ValueError("jitter_sigma must be nonnegative")
 
 
-@dataclass
-class RadarScan:
-    samples: np.ndarray  # (n_bins,) float64, signed amplitude
-    slow_time_index: int
-    scenario_id: str
-
-
 def pulse_samples(
-    n_bins: int, center_bin: float, amplitude: float, sigma_bins: float, cycles_per_bin: float
+    n_bins: int, center_bin, amplitude, sigma_bins: float, cycles_per_bin: float
 ) -> np.ndarray:
     """Gaussian-modulated sinusoid sampled on the fast-time grid.
 
     The carrier phase is zero at the pulse center, so the peak of the
-    magnitude sits at the center bin.
+    magnitude sits at the center bin. ``center_bin`` and ``amplitude`` may
+    be arrays of one shape; the result then has that shape plus a trailing
+    fast-time axis, and each pulse equals the scalar call to the last bit.
     """
-    t = np.arange(n_bins, dtype=np.float64) - center_bin
+    t = np.arange(n_bins, dtype=np.float64) - np.asarray(center_bin, dtype=np.float64)[..., None]
+    amplitude = np.asarray(amplitude, dtype=np.float64)[..., None]
     return amplitude * np.exp(-0.5 * (t / sigma_bins) ** 2) * np.cos(2.0 * np.pi * cycles_per_bin * t)
-
-
-_static_cache: dict[Scenario, np.ndarray] = {}
 
 
 def _static_background(scenario: Scenario) -> np.ndarray:
     """Direct path plus clutter echoes; fixed for a scenario, never per-scan."""
-    cached = _static_cache.get(scenario)
-    if cached is not None:
-        return cached
     background = pulse_samples(
         scenario.n_bins,
         0.0,
@@ -160,44 +152,7 @@ def _static_background(scenario: Scenario) -> np.ndarray:
             background += pulse_samples(
                 scenario.n_bins, delay, amp, scenario.pulse_sigma_bins, scenario.pulse_cycles_per_bin
             )
-    _static_cache[scenario] = background
     return background
-
-
-def synthesize_scan(
-    scenario: Scenario,
-    target: Optional[TargetState],
-    slow_time_index: int,
-    rng: np.random.Generator,
-) -> RadarScan:
-    """One pulse-response scan; deterministic given the scenario and rng state.
-
-    The target echo is centered at the two-way delay of the (jittered)
-    range with amplitude reflectivity / range**exponent. Raises if the
-    target's nominal echo delay falls outside the scan window.
-    """
-    if target is not None:
-        if scenario.delay_bins(target.range_m) >= scenario.n_bins:
-            raise ValueError(
-                f"target at {target.range_m:.3f} m echoes beyond the "
-                f"{scenario.window_m:.3f} m scan window"
-            )
-    samples = _static_background(scenario).copy()
-    if target is not None:
-        r = target.range_m
-        if target.jitter_sigma > 0:
-            r = r + rng.normal(0.0, target.jitter_sigma)
-            r = max(r, 1e-3)
-        samples += pulse_samples(
-            scenario.n_bins,
-            scenario.delay_bins(r),
-            target.reflectivity / r**scenario.amplitude_exponent,
-            scenario.pulse_sigma_bins,
-            scenario.pulse_cycles_per_bin,
-        )
-    if scenario.noise_sigma > 0:
-        samples += rng.normal(0.0, scenario.noise_sigma, scenario.n_bins)
-    return RadarScan(samples=samples, slow_time_index=slow_time_index, scenario_id=scenario.scenario_id)
 
 
 def place_target_for_label(
@@ -267,14 +222,28 @@ def generate_dataset(
     filter can be derived downstream. One child RNG stream per example,
     spawned from ``seed``, keeps generation deterministic and
     order-independent.
+
+    A scan is the static background plus, when a target is present, its
+    echo centered at the two-way delay of the (jittered) range with
+    amplitude reflectivity / range**exponent, plus white noise. The
+    per-example loop only draws from the RNG, in a fixed order: the
+    placement, then per scan the jitter and the noise. The pulses are then
+    added in blocks of examples; each sample is still (background + echo)
+    + noise, as one scan at a time would sum it, so the result is the same
+    to the last bit. Raises if a target's nominal echo delay falls outside
+    the scan window.
     """
     if n_per_class < 2:
         raise ValueError("n_per_class must be at least 2")
     n_classes = scheme.n_classes
     labels = np.repeat(np.arange(n_classes, dtype=np.int64), n_per_class)
     n_examples = labels.size
-    scans = np.empty((n_examples, scenario.n_bins))
-    history = np.empty((n_examples, 2, scenario.n_bins))
+    n_bins = scenario.n_bins
+    noisy = scenario.noise_sigma > 0
+    # scans t-2, t-1, t of each example; holds the noise until the blocks add the signal
+    samples = np.empty((n_examples, 3, n_bins))
+    centers = np.zeros((n_examples, 3))
+    amplitudes = np.zeros((n_examples, 3))
     children = seed_sequence(seed).spawn(n_examples)
     for i, label in enumerate(labels):
         rng = np.random.Generator(np.random.PCG64(children[i]))
@@ -288,17 +257,46 @@ def generate_dataset(
                 jitter_sigma=jitter_sigma,
                 min_range=min_range,
             )
-        triple = [synthesize_scan(scenario, target, t, rng).samples for t in range(3)]
-        history[i, 0] = triple[0]
-        history[i, 1] = triple[1]
-        scans[i] = triple[2]
+            if scenario.delay_bins(target.range_m) >= n_bins:
+                raise ValueError(
+                    f"target at {target.range_m:.3f} m echoes beyond the "
+                    f"{scenario.window_m:.3f} m scan window"
+                )
+        for t in range(3):
+            if target is not None:
+                r = target.range_m
+                if target.jitter_sigma > 0:
+                    r = max(r + rng.normal(0.0, target.jitter_sigma), 1e-3)
+                centers[i, t] = scenario.delay_bins(r)
+                # a Python float power: numpy's array r**2.0 squares, which
+                # can round differently from pow
+                amplitudes[i, t] = target.reflectivity / r**scenario.amplitude_exponent
+            if noisy:
+                samples[i, t] = rng.normal(0.0, scenario.noise_sigma, n_bins)
+    background = _static_background(scenario)
+    has_target = labels != 0
+    for start in range(0, n_examples, _BLOCK):
+        block = slice(start, start + _BLOCK)
+        signal = np.broadcast_to(background, samples[block].shape).copy()
+        hit = has_target[block]
+        signal[hit] += pulse_samples(
+            n_bins,
+            centers[block][hit],
+            amplitudes[block][hit],
+            scenario.pulse_sigma_bins,
+            scenario.pulse_cycles_per_bin,
+        )
+        if noisy:
+            samples[block] += signal
+        else:
+            samples[block] = signal
     ds = LabeledDataset(
-        scans=scans,
+        scans=samples[:, 2],
         labels=labels,
         scheme=scheme.kind,
         data_type="raw",
         scenario_id=scenario.scenario_id,
-        history=history,
+        history=samples[:, :2],
     )
     ds.validate_labels()
     return ds

@@ -33,6 +33,44 @@ TINY = {
 }
 
 
+# The train sidecar TINY writes; its bytes must not change.
+PINNED_TRAIN_SIDECAR = """\
+class_counts:
+  0: 5
+  1: 5
+  2: 5
+  3: 5
+counterpart: outdoor-simple4-motion_filtered-test.rds
+data_type: motion_filtered
+dataset_id: outdoor-simple4-motion_filtered
+experiment_seed: 0
+format: RDS1
+n_bins: 480
+n_dropped: 0
+n_examples: 20
+role: train
+scenario:
+  amplitude_exponent: 2.0
+  bin_duration_ps: 61.0
+  clutter_amplitude: 0.05
+  clutter_path_count: 4
+  direct_path_amplitude: 1.0
+  environment: outdoor
+  n_bins: 480
+  noise_sigma: 0.001
+  pulse_center_freq_hz: 1600000000.0
+  pulse_sigma_ps: 600.0
+  scenario_id: outdoor
+  seed: 3681913448081106325
+scheme: simple4
+target:
+  jitter_sigma: 0.06
+  min_range: 0.3
+  reflectivity: 4.0
+version: 1
+"""
+
+
 @pytest.fixture()
 def cfg_path(tmp_path):
     path = tmp_path / "cfg.yaml"
@@ -114,6 +152,28 @@ class TestGenerate:
         assert all("-raw-" in n for n in names)
         assert len(names) == 4
 
+    def test_sidecar_bytes_pinned(self, cfg_path, tmp_path):
+        out = str(tmp_path / "out")
+        generate(cfg_path, out)
+        path = os.path.join(out, "datasets", "outdoor-simple4-motion_filtered-train.rds.meta.yaml")
+        with open(path, "rb") as fh:
+            assert fh.read() == PINNED_TRAIN_SIDECAR.encode("utf-8")
+
+    def test_parallel_groups_write_the_same_bytes(self, tmp_path):
+        cfg = dict(TINY, schemes=["simple4", "grid10"], data_types=["raw", "baseband"])
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        outs = [str(tmp_path / name) for name in ("serial", "parallel")]
+        for out, jobs in zip(outs, ("1", "2")):
+            assert main(["generate", "--config", str(path), "--out", out, "--jobs", jobs]) == EXIT_OK
+        names = sorted(os.listdir(os.path.join(outs[0], "datasets")))
+        assert len(names) == 16
+        assert names == sorted(os.listdir(os.path.join(outs[1], "datasets")))
+        for name in names:
+            assert digest(os.path.join(outs[0], "datasets", name)) == digest(
+                os.path.join(outs[1], "datasets", name)
+            )
+
     def test_bad_config_exit_code(self, tmp_path):
         path = tmp_path / "cfg.yaml"
         path.write_text(yaml.safe_dump({"n_per_clas": 10}))
@@ -169,6 +229,29 @@ class TestRun:
         assert header == "dataset_id,knn"
         assert row == "outdoor-simple4-motion_filtered,"
 
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda buf: buf[: len(buf) // 2],  # truncated
+            lambda buf: b"JUNK" + buf[4:],  # bad magic
+            lambda buf: buf + b"\x00",  # trailing bytes
+        ],
+        ids=["truncated", "bad_magic", "trailing"],
+    )
+    def test_corrupt_dataset_exit_code(self, cfg_path, tmp_path, capsys, damage):
+        out = str(tmp_path / "out")
+        generate(cfg_path, out)
+        path = os.path.join(out, "datasets", "outdoor-simple4-motion_filtered-train.rds")
+        with open(path, "rb") as fh:
+            buf = fh.read()
+        with open(path, "wb") as fh:
+            fh.write(damage(buf))
+        capsys.readouterr()
+        assert main(["run", "--config", cfg_path, "--out", out]) == EXIT_MISSING
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("corrupt input: ") and path in err
+
     def test_unknown_estimator_exit_code(self, cfg_path, tmp_path):
         out = str(tmp_path / "out")
         generate(cfg_path, out)
@@ -193,6 +276,26 @@ class TestReport:
 
     def test_report_without_runs_exit_code(self, tmp_path):
         assert main(["report", "--out", str(tmp_path / "nope")]) == EXIT_MISSING
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"dataset_id": "d", "estimators": {"knn": {"test_acc',  # truncated
+            '{"dataset_id": "d", "errors": {}}',  # no estimators
+            '{"dataset_id": "d", "estimators": {"knn": {"validation_accuracy": 1.0}}}',
+            '{"dataset_id": "d", "estimators": {"svm": {}}}',
+            "[1, 2]",
+        ],
+        ids=["truncated", "no_estimators", "no_test_accuracy", "unknown_kind", "not_a_mapping"],
+    )
+    def test_corrupt_report_exit_code(self, tmp_path, capsys, text):
+        reports = tmp_path / "out" / "reports"
+        reports.mkdir(parents=True)
+        (reports / "d.json").write_text(text)
+        assert main(["report", "--out", str(tmp_path / "out")]) == EXIT_MISSING
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("corrupt input: ") and "d.json" in err
 
 
 class TestDeterminism:

@@ -1,4 +1,6 @@
+import io
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -8,11 +10,32 @@ from radarml.dataset import (
     DatasetFormatError,
     LabeledDataset,
     dataset_from_bytes,
-    dataset_to_bytes,
     load_dataset,
     save_dataset,
     write_atomic,
+    write_dataset,
 )
+
+
+def dataset_to_bytes(ds):
+    out = io.BytesIO()
+    write_dataset(ds, out)
+    return out.getvalue()
+
+
+def documented_layout(ds):
+    """The file bytes the module docstring specifies, built by hand."""
+    strings = b"".join(
+        struct.pack("<H", len(s.encode("utf-8"))) + s.encode("utf-8")
+        for s in (ds.scheme, ds.data_type, ds.scenario_id)
+    )
+    return (
+        b"RDS1"
+        + struct.pack("<IQQ", 1, ds.n_examples, ds.n_bins)
+        + strings
+        + np.asarray(ds.scans, dtype="<f8").tobytes()
+        + np.asarray(ds.labels, dtype="<i8").tobytes()
+    )
 
 
 def small_dataset(n=6, n_bins=16, scheme="simple4"):
@@ -132,6 +155,21 @@ class TestSerialization:
     def test_magic_constant(self):
         assert dataset_to_bytes(small_dataset())[:4] == MAGIC
 
+    def test_bytes_follow_the_documented_layout(self):
+        ds = small_dataset()
+        assert dataset_to_bytes(ds) == documented_layout(ds)
+
+    def test_invalid_payload_is_a_format_error(self):
+        # a NaN sample and an unknown data type both parse but are not a dataset
+        buf = bytearray(dataset_to_bytes(small_dataset()))
+        first_sample = buf.index(b"unit") + 4  # the scenario id ends the header
+        buf[first_sample : first_sample + 8] = struct.pack("<d", float("nan"))
+        with pytest.raises(DatasetFormatError, match="finite"):
+            dataset_from_bytes(bytes(buf))
+        buf = dataset_to_bytes(small_dataset()).replace(b"baseband", b"basebanX")
+        with pytest.raises(DatasetFormatError, match="data_type"):
+            dataset_from_bytes(buf)
+
 
 class TestFiles:
     def test_save_load_round_trip(self, tmp_path):
@@ -141,6 +179,24 @@ class TestFiles:
         back = load_dataset(path)
         np.testing.assert_array_equal(back.scans, ds.scans)
         assert back.labels.tolist() == ds.labels.tolist()
+
+    def test_saved_file_follows_the_documented_layout(self, tmp_path):
+        # a strided scan matrix, as a row subset of a larger buffer
+        base = small_dataset(n=12)
+        ds = LabeledDataset(base.scans[::2], base.labels[::2], "simple4", "raw", "unit")
+        path = str(tmp_path / "d.rds")
+        save_dataset(ds, path)
+        with open(path, "rb") as fh:
+            assert fh.read() == documented_layout(ds)
+        assert os.listdir(tmp_path) == ["d.rds"]
+
+    def test_load_names_the_corrupt_file(self, tmp_path):
+        path = str(tmp_path / "d.rds")
+        save_dataset(small_dataset(), path)
+        with open(path, "r+b") as fh:
+            fh.truncate(100)
+        with pytest.raises(DatasetFormatError, match="d.rds: truncated"):
+            load_dataset(path)
 
     def test_write_atomic_leaves_no_temp_files(self, tmp_path):
         path = str(tmp_path / "blob.bin")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from radarml.estimators import neighbors
 from radarml.estimators.neighbors import KNearestNeighbors
 
 
@@ -61,11 +62,25 @@ class TestInterface:
         X_train = rng.normal(size=(50, 4))
         y_train = rng.integers(0, 2, size=50)
         y_train[:2] = [0, 1]
-        X_test = rng.normal(size=(600, 4))  # spans multiple 256-row blocks
+        X_test = rng.normal(size=(600, 4))
         model = KNearestNeighbors(n_neighbors=5).fit(X_train, y_train)
         whole = model.predict(X_test)
         parts = np.concatenate([model.predict(X_test[:300]), model.predict(X_test[300:])])
         np.testing.assert_array_equal(whole, parts)
+
+    @pytest.mark.parametrize("block_elements", [1, 3 * 40 * 7, 1 << 30])
+    def test_predictions_do_not_depend_on_block_size(self, monkeypatch, block_elements):
+        # one query row per block, 3 rows per block, and every row in one block
+        rng = np.random.default_rng(4)
+        X_train = np.round(rng.normal(size=(40, 7)))  # integer grid: many tied distances
+        y_train = rng.integers(0, 3, size=40)
+        X_test = np.round(rng.normal(size=(97, 7)))
+        model = KNearestNeighbors(n_neighbors=4).fit(X_train, y_train)
+        want = model.predict(X_test)
+        monkeypatch.setattr(neighbors, "_BLOCK_ELEMENTS", block_elements)
+        np.testing.assert_array_equal(model.predict(X_test), want)
+        for i in range(0, 97, 24):
+            assert model.predict(X_test[i : i + 1])[0] == want[i]
 
     def test_k_must_be_positive(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -200,6 +202,17 @@ class TestDecisionTree:
         stump = DecisionTree(max_features=None, max_depth=1).fit(X, y)
         assert stump.nodes_.n_nodes <= 3
 
+    @pytest.mark.parametrize("criterion", ["gini", "entropy"])
+    def test_midpoint_rounding_up_takes_the_lower_value(self, criterion):
+        # (a + b) / 2 rounds up to b here; a threshold of b sent every row
+        # left and split the same rows forever. max_depth bounds the growth
+        # so that such a fault fails the assertions instead of hanging.
+        a = np.nextafter(1.0, 0.0)
+        X = np.array([[a], [1.0], [1.0]])
+        model = DecisionTree(criterion=criterion, max_features=None, max_depth=4).fit(X, [0, 1, 1])
+        assert model.nodes_.threshold[0] == a
+        assert model.predict(X).tolist() == [0, 1, 1]
+
     def test_unknown_criterion_rejected(self):
         with pytest.raises(ValueError):
             DecisionTree(criterion="variance")
@@ -285,6 +298,18 @@ class TestRegressionTree:
         nodes, leaf = grow_regression(*presort(X), g, max_depth=1)
         assert as_nested(nodes) == (0, a, ("leaf", 0.0), ("leaf", 1.0))
         assert np.array_equal(nodes.value[leaf], tree_apply(nodes, X))
+
+    def test_midpoint_rounding_up_takes_the_lower_value(self):
+        # (a + b) / 2 rounds up to b here; a threshold of b would send
+        # every row left and leave an empty right leaf (a NaN mean)
+        a = np.nextafter(1.0, 0.0)
+        X = np.array([[a], [1.0], [1.0]])
+        g = np.array([0.0, 1.0, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            nodes, leaf = grow_regression(*presort(X), g, max_depth=2)
+        assert as_nested(nodes) == (0, a, ("leaf", 0.0), ("leaf", 1.0))
+        assert leaf.tolist() == [1, 2, 2]
 
     @pytest.mark.parametrize("discrete", [False, True])
     @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from radarml.dataset import LabeledDataset
-from radarml.labeling import Simple4Scheme
+from radarml.labeling import Grid10Scheme, Simple4Scheme
 from radarml.sigproc import (
     DegenerateScanError,
     analytic_envelope,
@@ -14,7 +14,7 @@ from radarml.sigproc import (
     standardize_dataset,
     standardize_rows,
 )
-from radarml.synth import Scenario, generate_dataset
+from radarml.synth import Scenario, generate_dataset, pulse_samples
 
 finite_vectors = st.lists(
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, width=64),
@@ -76,6 +76,15 @@ class TestStandardize:
         assert Z.shape == (2, 3)
         np.testing.assert_allclose(Z[0], standardize(X[0]))
 
+    def test_rows_mask_floor_is_relative_to_the_largest_magnitude(self):
+        # spread 5e-11 is far above 1e-12 but below 1e-12 * 1e6
+        big = 1e6
+        X = np.array([[big, np.nextafter(big, 2 * big), big], [0.0, 1e-9, 0.0]])
+        Z, kept = standardize_rows(X)
+        assert kept.tolist() == [False, True]
+        with pytest.raises(DegenerateScanError):
+            standardize(X[0])
+
     def test_dataset_drops_degenerate_rows(self):
         X = np.array([[1.0, 2.0, 3.0], [4.0, 4.0, 4.0], [0.0, 1.0, 0.0]])
         ds = LabeledDataset(
@@ -118,11 +127,9 @@ class TestMotionFilter:
         np.testing.assert_allclose(left, right, atol=1e-7)
 
     def test_moving_target_background_cancels(self):
-        # deterministic micro-motion: same target, hand-shifted ranges.
-        # The static background drops out, leaving just the echo difference.
-        from radarml.synth import TargetState, pulse_samples, synthesize_scan
-        from radarml.seeding import make_rng
-
+        # deterministic micro-motion: the static background of a noiseless
+        # dataset plus hand-shifted echoes. The background drops out,
+        # leaving just the echo difference.
         sc = Scenario(
             scenario_id="mf",
             environment="outdoor",
@@ -131,18 +138,8 @@ class TestMotionFilter:
             noise_sigma=0.0,
             seed=5,
         )
-        rng = make_rng(0, 0)
+        background = generate_dataset(sc, Simple4Scheme(), 2, seed=0).scans[0]
         ranges = [2.0, 2.05, 2.1]
-        scans = [
-            synthesize_scan(
-                sc,
-                TargetState(range_m=r, azimuth=0.1, reflectivity=4.0, jitter_sigma=0.0),
-                k,
-                rng,
-            ).samples
-            for k, r in enumerate(ranges)
-        ]
-        out = motion_filter(scans[2], scans[1], scans[0])
         echoes = [
             pulse_samples(
                 sc.n_bins,
@@ -153,10 +150,19 @@ class TestMotionFilter:
             )
             for r in ranges
         ]
+        scans = [background + echo for echo in echoes]
+        out = motion_filter(scans[2], scans[1], scans[0])
         np.testing.assert_allclose(out, echoes[2] - 2 * echoes[1] + echoes[0], atol=1e-12)
         delay = round(sc.delay_bins(2.05))
         assert np.abs(out).max() > 0.01
         assert np.abs(out).argmax() == pytest.approx(delay, abs=2 * sc.pulse_sigma_bins)
+
+    def test_matrix_rows_equal_vector_calls(self):
+        rng = np.random.default_rng(2)
+        a, b, c = rng.normal(size=(3, 5, 17))
+        out = motion_filter(a, b, c)
+        for i in range(5):
+            assert out[i].tobytes() == motion_filter(a[i], b[i], c[i]).tobytes()
 
 
 class TestAnalyticEnvelope:
@@ -188,6 +194,21 @@ class TestAnalyticEnvelope:
         x[3] = np.inf
         with pytest.raises(ValueError):
             analytic_envelope(x)
+
+    @pytest.mark.parametrize("n", [8, 9, 255, 256, 480, 481])
+    def test_matrix_rows_equal_per_row_reference(self, n):
+        rng = np.random.default_rng(n)
+        X = rng.normal(size=(23, n))
+        env = analytic_envelope(X)
+        assert env.shape == X.shape
+        for i in range(X.shape[0]):
+            assert env[i].tobytes() == reference_envelope(X[i]).tobytes()
+        # a strided view (every other row) gives the same rows
+        assert analytic_envelope(X[::2]).tobytes() == env[::2].tobytes()
+
+    def test_three_dimensional_input_rejected(self):
+        with pytest.raises(ValueError):
+            analytic_envelope(np.zeros((2, 2, 16)))
 
     @given(st.integers(1, 40), st.integers(0, 2**31))
     def test_nonnegative_and_length_preserving(self, length_factor, seed):
@@ -228,22 +249,112 @@ class TestDeriveDataset:
         expected = raw.scans - 2 * raw.history[:, 1, :] + raw.history[:, 0, :]
         np.testing.assert_array_equal(ds.scans, expected)
 
-    def test_all_static_dataset_drops_every_example(self):
-        # noise off and jitter off: nothing moves, the filter output is
-        # exactly zero everywhere, every example is degenerate
-        sc = Scenario(
-            scenario_id="static",
-            environment="outdoor",
-            clutter_amplitude=0.2,
-            clutter_path_count=5,
-            noise_sigma=0.0,
-            seed=1,
-        )
-        raw = generate_dataset(sc, Simple4Scheme(), 2, seed=2, jitter_sigma=0.0)
-        mf = derive_dataset(raw, "motion_filtered")
-        assert mf.n_examples == 0
-        assert mf.n_dropped == raw.n_examples
+    def test_keeps_every_example(self, raw):
+        for data_type in ("raw", "baseband", "motion_filtered"):
+            ds = derive_dataset(raw, data_type)
+            assert ds.n_examples == raw.n_examples
+            assert ds.n_dropped == raw.n_dropped
 
     def test_unknown_data_type_rejected(self, raw):
         with pytest.raises(ValueError):
             derive_dataset(raw, "spectrogram")
+
+
+# ---------------------------------------------------------------------------
+# reference for derivation plus standardization as two passes with two
+# degenerate masks: one in the derivation, one in the standardization of
+# the rows the first mask kept, with a per-row envelope.
+
+
+def reference_envelope(x):
+    n = x.size
+    if n % 2:
+        x = np.concatenate([x, [0.0]])
+    m = x.size
+    weights = np.zeros(m)
+    weights[0] = 1.0
+    weights[m // 2] = 1.0
+    weights[1 : m // 2] = 2.0
+    return np.abs(np.fft.ifft(np.fft.fft(x) * weights))[:n]
+
+
+def _reference_mask(X):
+    mu = X.mean(axis=1, keepdims=True)
+    sigma = np.sqrt(np.mean((X - mu) ** 2, axis=1))
+    scale = np.maximum(1.0, np.max(np.abs(X), axis=1, initial=0.0))
+    return sigma > 1e-12 * scale
+
+
+def reference_derive_and_standardize(raw, data_type):
+    if data_type == "raw":
+        features = raw.scans.copy()
+    elif data_type == "baseband":
+        features = np.stack([reference_envelope(row) for row in raw.scans])
+    else:
+        features = raw.scans - 2.0 * raw.history[:, 1, :] + raw.history[:, 0, :]
+    first = _reference_mask(features)
+    features = features[first]
+    second = _reference_mask(features)
+    mu = features.mean(axis=1, keepdims=True)
+    centered = features - mu
+    sigma = np.sqrt(np.mean(centered**2, axis=1))
+    Z = centered[second] / sigma[second, None]
+    labels = raw.labels[first][second]
+    return Z, labels, int(np.sum(~first)) + int(np.sum(~second))
+
+
+def _static_raw():
+    # noise off and jitter off: nothing moves, the filter output is
+    # exactly zero everywhere, every motion-filtered example is degenerate
+    sc = Scenario(
+        scenario_id="static",
+        environment="outdoor",
+        clutter_amplitude=0.2,
+        clutter_path_count=5,
+        noise_sigma=0.0,
+        seed=1,
+    )
+    return generate_dataset(sc, Simple4Scheme(), 2, seed=2, jitter_sigma=0.0)
+
+
+@pytest.fixture(scope="module")
+def raw_grid10():
+    # 300 examples: the envelope transform batches many rows at once
+    sc = Scenario(
+        scenario_id="g",
+        environment="indoor",
+        clutter_amplitude=0.5,
+        clutter_path_count=14,
+        noise_sigma=0.05,
+        seed=4,
+    )
+    return generate_dataset(sc, Grid10Scheme(), 30, seed=6)
+
+
+class TestDeriveThenStandardize:
+    @pytest.mark.parametrize("data_type", ["raw", "baseband", "motion_filtered"])
+    @pytest.mark.parametrize("which", ["raw", "raw_grid10"])
+    def test_equals_two_mask_reference(self, request, which, data_type):
+        raw = request.getfixturevalue(which)
+        out = standardize_dataset(derive_dataset(raw, data_type))
+        Z, labels, dropped = reference_derive_and_standardize(raw, data_type)
+        assert out.scans.tobytes() == Z.tobytes()
+        assert out.labels.tolist() == labels.tolist()
+        assert out.n_dropped == dropped
+        assert out.data_type == data_type
+        assert out.history is None
+
+    @pytest.mark.parametrize("data_type", ["raw", "baseband", "motion_filtered"])
+    def test_static_dataset_equals_two_mask_reference(self, data_type):
+        raw = _static_raw()
+        out = standardize_dataset(derive_dataset(raw, data_type))
+        Z, labels, dropped = reference_derive_and_standardize(raw, data_type)
+        assert out.scans.tobytes() == Z.tobytes()
+        assert out.labels.tolist() == labels.tolist()
+        assert out.n_dropped == dropped
+
+    def test_all_static_dataset_drops_every_example(self):
+        raw = _static_raw()
+        mf = standardize_dataset(derive_dataset(raw, "motion_filtered"))
+        assert mf.n_examples == 0
+        assert mf.n_dropped == raw.n_examples

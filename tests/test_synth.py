@@ -6,14 +6,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from radarml.labeling import Grid10Scheme, Simple4Scheme, label_of
-from radarml.seeding import make_rng
+from radarml.seeding import make_rng, seed_sequence
 from radarml.synth import (
     Scenario,
     TargetState,
     generate_dataset,
     place_target_for_label,
     pulse_samples,
-    synthesize_scan,
 )
 
 
@@ -46,27 +45,129 @@ class TestPulseTemplate:
         assert p[20] == pytest.approx(1.0)
 
 
-class TestSynthesizeScan:
+# ---------------------------------------------------------------------------
+# per-scan reference: one scan at a time, as a plain loop, in the RNG order
+# the generator documents (placement, then per scan the jitter and the
+# noise). generate_dataset must equal it bit for bit.
+
+
+def reference_background(sc):
+    background = pulse_samples(
+        sc.n_bins, 0.0, sc.direct_path_amplitude, sc.pulse_sigma_bins, sc.pulse_cycles_per_bin
+    )
+    if sc.clutter_path_count > 0 and sc.clutter_amplitude > 0:
+        rng = make_rng(sc.seed, 0)
+        margin = 6.0 * sc.pulse_sigma_bins
+        delays = rng.uniform(margin, sc.n_bins - margin, sc.clutter_path_count)
+        amps = sc.clutter_amplitude * rng.uniform(-1.0, 1.0, sc.clutter_path_count)
+        for delay, amp in zip(delays, amps):
+            background += pulse_samples(sc.n_bins, delay, amp, sc.pulse_sigma_bins, sc.pulse_cycles_per_bin)
+    return background
+
+
+def reference_scan(sc, target, rng):
+    samples = reference_background(sc)
+    if target is not None:
+        r = target.range_m
+        if target.jitter_sigma > 0:
+            r = max(r + rng.normal(0.0, target.jitter_sigma), 1e-3)
+        samples += pulse_samples(
+            sc.n_bins,
+            sc.delay_bins(r),
+            target.reflectivity / r**sc.amplitude_exponent,
+            sc.pulse_sigma_bins,
+            sc.pulse_cycles_per_bin,
+        )
+    if sc.noise_sigma > 0:
+        samples += rng.normal(0.0, sc.noise_sigma, sc.n_bins)
+    return samples
+
+
+def reference_targets(scheme, n_per_class, seed, **placement):
+    """(label, target, rng) per example, the rng positioned after placement."""
+    labels = np.repeat(np.arange(scheme.n_classes), n_per_class)
+    children = seed_sequence(seed).spawn(labels.size)
+    for label, child in zip(labels, children):
+        rng = np.random.Generator(np.random.PCG64(child))
+        target = place_target_for_label(int(label), scheme, rng, **placement) if label else None
+        yield int(label), target, rng
+
+
+def reference_dataset(sc, scheme, n_per_class, seed, **placement):
+    triples = [
+        [reference_scan(sc, target, rng) for _ in range(3)]
+        for _, target, rng in reference_targets(scheme, n_per_class, seed, **placement)
+    ]
+    return np.array(triples)  # (n, 3, n_bins): t-2, t-1, t
+
+
+class TestAgainstPerScanReference:
+    @pytest.mark.parametrize(
+        "scheme, scenario, placement",
+        [
+            (Simple4Scheme(), dict(clutter_amplitude=0.05, clutter_path_count=4, noise_sigma=0.001), {}),
+            (Grid10Scheme(), dict(clutter_amplitude=0.5, clutter_path_count=14, noise_sigma=0.05), {}),
+            (Simple4Scheme(), dict(clutter_amplitude=0.3, clutter_path_count=6), dict(jitter_sigma=0.0)),
+            (Grid10Scheme(), dict(noise_sigma=0.02), dict(jitter_sigma=0.0, reflectivity=2.5)),
+            (Simple4Scheme(), dict(clutter_amplitude=0.2, clutter_path_count=3, n_bins=360), dict(min_range=0.5)),
+        ],
+    )
+    def test_bit_identical(self, scheme, scenario, placement):
+        # 300 examples per grid10 set span more than one synthesis block
+        sc = quiet_scenario(seed=7, **scenario)
+        n_per_class = 30
+        ds = generate_dataset(sc, scheme, n_per_class, seed=13, **placement)
+        want = reference_dataset(sc, scheme, n_per_class, 13, **placement)
+        assert ds.scans.tobytes() == np.ascontiguousarray(want[:, 2]).tobytes()
+        assert ds.history.tobytes() == np.ascontiguousarray(want[:, :2]).tobytes()
+        assert ds.labels.tolist() == np.repeat(np.arange(scheme.n_classes), n_per_class).tolist()
+
+    def test_echo_amplitude_is_a_scalar_power(self):
+        # one of these 900 echoes has a jittered range r whose numpy array
+        # power r**2.0 (a square) differs from the scalar pow(r, 2.0) in
+        # the last bit; amplitudes computed as one array power show here
+        sc = quiet_scenario(seed=7, clutter_amplitude=0.05, clutter_path_count=4, noise_sigma=0.001)
+        ds = generate_dataset(sc, Simple4Scheme(), 100, seed=1)
+        want = reference_dataset(sc, Simple4Scheme(), 100, 1)
+        assert ds.scans.tobytes() == np.ascontiguousarray(want[:, 2]).tobytes()
+        assert ds.history.tobytes() == np.ascontiguousarray(want[:, :2]).tobytes()
+
+    def test_batched_pulses_equal_scalar_calls(self):
+        rng = np.random.default_rng(0)
+        centers = rng.uniform(-20.0, 500.0, size=(7, 3))
+        amps = rng.uniform(-2.0, 2.0, size=(7, 3))
+        batch = pulse_samples(480, centers, amps, 9.8, 0.0976)
+        assert batch.shape == (7, 3, 480)
+        for i in range(7):
+            for t in range(3):
+                single = pulse_samples(480, float(centers[i, t]), float(amps[i, t]), 9.8, 0.0976)
+                assert batch[i, t].tobytes() == single.tobytes()
+
+
+class TestSynthesizedScans:
     def test_quiet_scan_is_direct_path_only(self):
         sc = quiet_scenario()
-        scan = synthesize_scan(sc, None, 0, make_rng(0))
+        ds = generate_dataset(sc, Simple4Scheme(), 2, seed=0)
         want = pulse_samples(
             sc.n_bins, 0.0, sc.direct_path_amplitude, sc.pulse_sigma_bins, sc.pulse_cycles_per_bin
         )
-        np.testing.assert_array_equal(scan.samples, want)
-        assert scan.samples[0] == pytest.approx(sc.direct_path_amplitude)
+        for row in (ds.scans[0], ds.scans[1], *ds.history[0]):
+            np.testing.assert_array_equal(row, want)
+        assert ds.scans[0, 0] == pytest.approx(sc.direct_path_amplitude)
 
-    def test_clutter_is_static_across_scans(self):
+    def test_clutter_is_static_across_scans_and_seeds(self):
         sc = quiet_scenario(clutter_amplitude=0.4, clutter_path_count=8)
-        a = synthesize_scan(sc, None, 0, make_rng(1)).samples
-        b = synthesize_scan(sc, None, 5, make_rng(99)).samples
-        np.testing.assert_array_equal(a, b)
+        a = generate_dataset(sc, Simple4Scheme(), 2, seed=1)
+        b = generate_dataset(sc, Simple4Scheme(), 2, seed=99)
+        empty = [a.scans[0], a.scans[1], *a.history[0], b.scans[0]]
+        for row in empty[1:]:
+            np.testing.assert_array_equal(row, empty[0])
 
     def test_clutter_follows_scenario_seed(self):
         a = quiet_scenario(clutter_amplitude=0.4, clutter_path_count=8, seed=1)
         b = quiet_scenario(clutter_amplitude=0.4, clutter_path_count=8, seed=2)
-        sa = synthesize_scan(a, None, 0, make_rng(0)).samples
-        sb = synthesize_scan(b, None, 0, make_rng(0)).samples
+        sa = generate_dataset(a, Simple4Scheme(), 2, seed=0).scans[0]
+        sb = generate_dataset(b, Simple4Scheme(), 2, seed=0).scans[0]
         assert not np.array_equal(sa, sb)
 
     def test_echo_peak_bin_tracks_range(self):
@@ -74,46 +175,51 @@ class TestSynthesizeScan:
         # direct-path support at the head of the scan
         sc = quiet_scenario()
         skip = int(6 * sc.pulse_sigma_bins)
-        for r in np.linspace(0.8, 4.2, 69):
-            t = TargetState(range_m=float(r), azimuth=0.0, jitter_sigma=0.0)
-            s = synthesize_scan(sc, t, 0, make_rng(0)).samples
-            assert skip + np.argmax(np.abs(s[skip:])) == round(sc.delay_bins(float(r)))
+        ds = generate_dataset(sc, Grid10Scheme(), 8, seed=3, jitter_sigma=0.0)
+        targets = [t for _, t, _ in reference_targets(Grid10Scheme(), 8, 3, jitter_sigma=0.0)]
+        checked = 0
+        for s, t in zip(ds.scans, targets):
+            if t is None or t.range_m < 0.8:
+                continue
+            assert skip + np.argmax(np.abs(s[skip:])) == round(sc.delay_bins(t.range_m))
+            checked += 1
+        assert checked >= 60
 
     def test_echo_amplitude_falls_with_range_squared(self):
         sc = quiet_scenario()
-        background = synthesize_scan(sc, None, 0, make_rng(0)).samples
-        peaks = []
-        for r in (1.0, 2.0, 3.0):
-            t = TargetState(range_m=r, azimuth=0.0, reflectivity=4.0, jitter_sigma=0.0)
-            s = synthesize_scan(sc, t, 0, make_rng(0)).samples
-            peaks.append(np.abs(s - background).max())
-        # grid sampling of the carrier shaves at most a few percent off
-        # the analytic peak reflectivity / r**2
-        for peak, r in zip(peaks, (1.0, 2.0, 3.0)):
-            assert 0.90 * 4.0 / r**2 <= peak <= 4.0 / r**2 * (1 + 1e-9)
-        assert peaks[0] > peaks[1] > peaks[2]
+        ds = generate_dataset(sc, Simple4Scheme(), 20, seed=5, jitter_sigma=0.0, reflectivity=4.0)
+        background = ds.scans[0]
+        targets = [t for _, t, _ in reference_targets(Simple4Scheme(), 20, 5, jitter_sigma=0.0)]
+        for s, t in zip(ds.scans[20:], targets[20:]):
+            peak = np.abs(s - background).max()
+            # grid sampling of the carrier shaves at most a few percent off
+            # the analytic peak reflectivity / r**2
+            assert 0.90 * 4.0 / t.range_m**2 <= peak <= 4.0 / t.range_m**2 * (1 + 1e-9)
 
     def test_target_beyond_window_rejected(self):
-        sc = quiet_scenario()
-        far = TargetState(range_m=sc.window_m + 0.5, azimuth=0.0)
-        with pytest.raises(ValueError):
-            synthesize_scan(sc, far, 0, make_rng(0))
+        sc = quiet_scenario(n_bins=64)  # a 0.59 m window; simple4 zone 3 lies beyond it
+        assert sc.window_m < 2.0
+        with pytest.raises(ValueError, match="beyond"):
+            generate_dataset(sc, Simple4Scheme(), 2, seed=0)
 
     def test_jitter_moves_the_echo_between_scans(self):
         sc = quiet_scenario()
-        t = TargetState(range_m=2.0, azimuth=0.0, jitter_sigma=0.06)
-        rng = make_rng(4)
-        a = synthesize_scan(sc, t, 0, rng).samples
-        b = synthesize_scan(sc, t, 1, rng).samples
-        assert not np.array_equal(a, b)
+        moving = generate_dataset(sc, Simple4Scheme(), 2, seed=4, jitter_sigma=0.06)
+        still = generate_dataset(sc, Simple4Scheme(), 2, seed=4, jitter_sigma=0.0)
+        for i in range(2, 8):
+            assert not np.array_equal(moving.scans[i], moving.history[i, 1])
+            np.testing.assert_array_equal(still.scans[i], still.history[i, 0])
+            np.testing.assert_array_equal(still.scans[i], still.history[i, 1])
 
-    def test_noise_draws_from_the_passed_rng(self):
+    def test_noise_differs_per_scan_and_follows_the_seed(self):
         sc = quiet_scenario(noise_sigma=0.1)
-        a = synthesize_scan(sc, None, 0, make_rng(0)).samples
-        b = synthesize_scan(sc, None, 0, make_rng(0)).samples
-        c = synthesize_scan(sc, None, 0, make_rng(1)).samples
-        np.testing.assert_array_equal(a, b)
-        assert not np.array_equal(a, c)
+        a = generate_dataset(sc, Simple4Scheme(), 2, seed=0)
+        b = generate_dataset(sc, Simple4Scheme(), 2, seed=0)
+        c = generate_dataset(sc, Simple4Scheme(), 2, seed=1)
+        np.testing.assert_array_equal(a.scans, b.scans)
+        assert not np.array_equal(a.scans[0], c.scans[0])
+        assert not np.array_equal(a.scans[0], a.history[0, 1])
+        assert not np.array_equal(a.scans[0], a.scans[1])
 
 
 class TestPlacement:

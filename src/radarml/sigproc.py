@@ -7,6 +7,11 @@ scans, taken independently per fast-time bin, which cancels anything
 static. Standardization centers each vector and scales it to unit
 population standard deviation; ``standardize_rows`` is the one place
 that decides which rows are too flat to standardize.
+
+The matrix kernels walk their input in blocks of rows, so each block's
+temporaries (the complex spectrum included) stay in a core's cache
+instead of streaming whole-matrix copies through memory. Every row is
+computed on its own, so the result does not depend on the block size.
 """
 
 from __future__ import annotations
@@ -18,6 +23,10 @@ from .dataset import DATA_TYPES, LabeledDataset
 # Relative floor under which a scan's spread counts as zero; catches exact
 # constants whose mean is not representable exactly.
 _DEGENERATE_RTOL = 1e-12
+
+# Elements per row block of a matrix kernel: 256 KB of float64, 512 KB of
+# complex spectrum.
+_BLOCK_ELEMENTS = 1 << 15
 
 
 class DegenerateScanError(ValueError):
@@ -35,27 +44,39 @@ def _as_finite(x, min_len: int = 1, max_ndim: int = 1) -> np.ndarray:
     return v
 
 
+def _row_blocks(X: np.ndarray):
+    """Slices of consecutive rows of a matrix, about ``_BLOCK_ELEMENTS`` each."""
+    rows = max(1, _BLOCK_ELEMENTS // max(1, X.shape[1]))
+    for start in range(0, X.shape[0], rows):
+        yield slice(start, start + rows)
+
+
 def analytic_envelope(scan) -> np.ndarray:
     """|analytic signal| via FFT: zero negative frequencies, double positive
     ones, keep DC and Nyquist, inverse transform, magnitude.
 
-    Works along the last axis, so a matrix gives one envelope per row in
-    one transform; each row equals the call on that row alone. Odd lengths
-    are zero-padded to the next even length for the transform and the
-    output is truncated back, so its shape always equals the input shape.
-    Rows shorter than 8 samples are rejected.
+    Works along the last axis, so a matrix gives one envelope per row,
+    transformed a block of rows at a time; each row equals the call on
+    that row alone. Odd lengths are zero-padded to the next even length
+    for the transform and the output is truncated back, so its shape
+    always equals the input shape. Rows shorter than 8 samples are
+    rejected.
     """
     x = _as_finite(scan, min_len=8, max_ndim=2)
     n = x.shape[-1]
     m = n + n % 2
-    spectrum = np.fft.fft(x, n=m, axis=-1)
     weights = np.zeros(m)
     weights[0] = 1.0
     weights[m // 2] = 1.0
     weights[1 : m // 2] = 2.0
-    spectrum *= weights
-    analytic = np.fft.ifft(spectrum, axis=-1, out=spectrum)
-    return np.abs(analytic[..., :n])
+    rows = x.reshape(-1, n)
+    out = np.empty(rows.shape)
+    for block in _row_blocks(rows):
+        spectrum = np.fft.fft(rows[block], n=m, axis=-1)
+        spectrum *= weights
+        analytic = np.fft.ifft(spectrum, axis=-1, out=spectrum)
+        np.abs(analytic[:, :n], out=out[block])
+    return out.reshape(x.shape)
 
 
 def motion_filter(scan_t, scan_t1, scan_t2) -> np.ndarray:
@@ -68,7 +89,12 @@ def motion_filter(scan_t, scan_t1, scan_t2) -> np.ndarray:
     a, b, c = (_as_finite(s, max_ndim=2) for s in (scan_t, scan_t1, scan_t2))
     if not (a.shape == b.shape == c.shape):
         raise ValueError("motion filter needs three scans of equal length")
-    return a - 2.0 * b + c
+    shape = a.shape
+    a, b, c = (s.reshape(-1, shape[-1]) for s in (a, b, c))
+    out = np.empty(a.shape)
+    for block in _row_blocks(out):
+        out[block] = a[block] - 2.0 * b[block] + c[block]
+    return out.reshape(shape)
 
 
 def standardize(x) -> np.ndarray:
@@ -91,13 +117,18 @@ def standardize_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``_DEGENERATE_RTOL`` times max(1, its largest magnitude).
     """
     X = np.asarray(X, dtype=np.float64)
-    Z = X - X.mean(axis=1, keepdims=True)
-    sigma = np.sqrt(np.mean(Z**2, axis=1))
-    largest = np.maximum(np.max(X, axis=1, initial=0.0), -np.min(X, axis=1, initial=0.0))
-    kept = sigma > _DEGENERATE_RTOL * np.maximum(1.0, largest)
+    Z = np.empty(X.shape)
+    kept = np.empty(X.shape[0], dtype=bool)
+    for block in _row_blocks(X):
+        Xb = X[block]
+        Zb = np.subtract(Xb, Xb.mean(axis=1, keepdims=True), out=Z[block])
+        sigma = np.sqrt(np.mean(Zb**2, axis=1))
+        largest = np.maximum(np.max(Xb, axis=1, initial=0.0), -np.min(Xb, axis=1, initial=0.0))
+        kept[block] = ok = sigma > _DEGENERATE_RTOL * np.maximum(1.0, largest)
+        # a dropped row is divided by 1 and then left out
+        Zb /= np.where(ok, sigma, 1.0)[:, None]
     if not kept.all():
         Z = Z[kept]
-    Z /= sigma[kept, None]
     return Z, kept
 
 

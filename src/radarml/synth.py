@@ -40,8 +40,9 @@ DEFAULT_JITTER_SIGMA = 0.06  # m per-scan radial micro-motion
 # Clutter echoes keep clear of the scan edges by this many pulse widths.
 _CLUTTER_EDGE_SIGMAS = 6.0
 
-# Examples per synthesis block: a block's pulse temporaries stay under 1 MB each.
-_BLOCK = 64
+# Examples per synthesis block: a block's pulse temporaries stay under 200 KB
+# each, so the block is summed in a core's cache.
+_BLOCK = 16
 
 
 @dataclass(frozen=True)

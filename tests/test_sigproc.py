@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from radarml import sigproc
 from radarml.dataset import LabeledDataset
 from radarml.labeling import Grid10Scheme, Simple4Scheme
 from radarml.sigproc import (
@@ -358,3 +359,39 @@ class TestDeriveThenStandardize:
         mf = standardize_dataset(derive_dataset(raw, "motion_filtered"))
         assert mf.n_examples == 0
         assert mf.n_dropped == raw.n_examples
+
+
+class TestRowBlocks:
+    """The matrix kernels walk row blocks; no result depends on their size."""
+
+    @staticmethod
+    def _matrix(n_rows, n_bins, seed):
+        X = np.random.default_rng(seed).normal(size=(n_rows, n_bins))
+        X[[3, 10, n_rows - 1]] = 2.5  # flat rows inside blocks and at the end
+        return X
+
+    @pytest.mark.parametrize("rows_per_block", [1, 3, 7])
+    @pytest.mark.parametrize("n_bins", [16, 17, 480])
+    def test_kernels_equal_one_whole_matrix_block(self, monkeypatch, rows_per_block, n_bins):
+        X = self._matrix(23, n_bins, n_bins)
+        Y, W = self._matrix(23, n_bins, n_bins + 1), self._matrix(23, n_bins, n_bins + 2)
+        monkeypatch.setattr(sigproc, "_BLOCK_ELEMENTS", 23 * n_bins)
+        whole = (analytic_envelope(X), motion_filter(X, Y, W), *standardize_rows(X))
+        monkeypatch.setattr(sigproc, "_BLOCK_ELEMENTS", rows_per_block * n_bins)
+        blocked = (analytic_envelope(X), motion_filter(X, Y, W), *standardize_rows(X))
+        for a, b in zip(whole, blocked):
+            assert a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+        assert blocked[3].sum() == 20
+
+    def test_blocks_cover_every_row_once(self, monkeypatch):
+        monkeypatch.setattr(sigproc, "_BLOCK_ELEMENTS", 50)
+        blocks = list(sigproc._row_blocks(np.empty((23, 16))))
+        assert [b.start for b in blocks] == list(range(0, 23, 3))
+        assert np.concatenate([np.arange(23)[b] for b in blocks]).tolist() == list(range(23))
+
+    def test_empty_matrix(self):
+        Z, kept = standardize_rows(np.empty((0, 8)))
+        assert Z.shape == (0, 8)
+        assert kept.shape == (0,)
+        assert analytic_envelope(np.empty((0, 8))).shape == (0, 8)

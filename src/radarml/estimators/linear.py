@@ -3,7 +3,9 @@
 All three operate on an augmented design matrix with a trailing bias
 column that stays unpenalized. Logistic regression minimizes the mean
 negative log-likelihood plus (1/(2C))||W||^2 and exposes three solvers
-that share one convergence rule: max|grad| < tol.
+that share one convergence rule: max|grad| < tol. Each fit records
+``n_iter_`` and ``converged_``, so a fit that ran out of iterations or
+whose line search failed says so.
 """
 
 from __future__ import annotations
@@ -53,9 +55,9 @@ def _solve_lbfgs(Xa, Y, lam, tol, max_iter):
     theta = np.zeros((K, d1))
     f, g = _nll_loss_grad(theta, Xa, Y, lam)
     s_hist, y_hist, rho_hist = [], [], []
-    for _ in range(max_iter):
+    for it in range(max_iter):
         if np.max(np.abs(g)) < tol:
-            break
+            return theta, it, True
         q = g.reshape(-1).copy()
         alphas = []
         for s, yv, rho in zip(reversed(s_hist), reversed(y_hist), reversed(rho_hist)):
@@ -80,7 +82,7 @@ def _solve_lbfgs(Xa, Y, lam, tol, max_iter):
                 break
             step *= 0.5
         else:
-            break
+            return theta, it, False  # line search failed
         s_vec = (theta_new - theta).reshape(-1)
         y_vec = (g_new - g).reshape(-1)
         sy = s_vec.dot(y_vec)
@@ -93,11 +95,19 @@ def _solve_lbfgs(Xa, Y, lam, tol, max_iter):
                 y_hist.pop(0)
                 rho_hist.pop(0)
         theta, f, g = theta_new, f_new, g_new
-    return theta
+    return theta, max_iter, bool(np.max(np.abs(g)) < tol)
 
 
 def _solve_sag(Xa, Y, lam, tol, max_iter, seed):
-    """Stochastic average gradient with per-sample residual memory."""
+    """Stochastic average gradient with per-sample residual memory.
+
+    Returns (theta, epochs run, converged). Each step works in buffers
+    allocated once per fit. The rank-1 residual update is a k=1 matrix
+    product, a single multiply per element, and the L2 term is ``theta``
+    times a per-column ``decay`` that is 0 in the bias column, so every
+    array operation runs on contiguous memory and rounds exactly as the
+    plain per-sample formulas do.
+    """
     n, d1 = Xa.shape
     K = Y.shape[1]
     theta = np.zeros((K, d1))
@@ -106,25 +116,34 @@ def _solve_sag(Xa, Y, lam, tol, max_iter, seed):
     grad_sum = resid.T @ Xa  # (K, d1), tracks sum_i resid_i x_i
     lipschitz = 0.5 * float(np.max(np.sum(Xa * Xa, axis=1))) + lam
     step = 1.0 / lipschitz
+    scale = step / n
+    decay = np.full(d1, step * lam)
+    decay[-1] = 0.0  # the bias stays unpenalized
+    p = np.empty(K)
+    dr = np.empty((K, 1))
+    outer = np.empty((K, d1))
+    update = np.empty((K, d1))
+    shrink = np.empty((K, d1))
     rng = make_rng(seed, 0)
-    for _ in range(max_iter):
-        picks = rng.integers(0, n, size=n)
-        for i in picks:
-            x = Xa[i]
-            z = theta @ x
-            z -= z.max()
-            p = np.exp(z)
+    for epoch in range(1, max_iter + 1):
+        for i in rng.integers(0, n, size=n).tolist():
+            np.matmul(theta, Xa[i], out=p)
+            p -= p.max()
+            np.exp(p, out=p)
             p /= p.sum()
-            new_resid = p - Y[i]
-            grad_sum += np.outer(new_resid - resid[i], x)
-            resid[i] = new_resid
-            update = grad_sum * (step / n)
-            update[:, :-1] += (step * lam) * theta[:, :-1]
+            p -= Y[i]  # the new residual
+            np.subtract(p, resid[i], out=dr[:, 0])
+            resid[i] = p
+            np.dot(dr, Xa[i : i + 1], out=outer)
+            grad_sum += outer
+            np.multiply(grad_sum, scale, out=update)
+            np.multiply(theta, decay, out=shrink)
+            update += shrink
             theta -= update
         _, g = _nll_loss_grad(theta, Xa, Y, lam)
         if np.max(np.abs(g)) < tol:
-            break
-    return theta
+            return theta, epoch, True
+    return theta, max_iter, False
 
 
 def _cg(apply_h, b, tol, max_iter):
@@ -153,10 +172,10 @@ def _solve_newton_cg(Xa, Y, lam, tol, max_iter):
     K = Y.shape[1]
     theta = np.zeros((K, d1))
     f, g = _nll_loss_grad(theta, Xa, Y, lam)
-    for _ in range(max_iter):
+    for it in range(max_iter):
         gnorm = np.max(np.abs(g))
         if gnorm < tol:
-            break
+            return theta, it, True
         P = _softmax_rows(Xa @ theta.T)
 
         def apply_h(v_flat):
@@ -187,12 +206,23 @@ def _solve_newton_cg(Xa, Y, lam, tol, max_iter):
                 break
             step *= 0.5
         else:
-            break
+            return theta, it, False  # line search failed
         theta, f, g = theta_new, f_new, g_new
-    return theta
+    return theta, max_iter, bool(np.max(np.abs(g)) < tol)
 
 
-class LogisticRegression:
+class _LinearClassifier:
+    """Scores ``X @ coef_.T + intercept_``, one column per class."""
+
+    def decision_function(self, X):
+        X = check_predict_input(self, X)
+        return X @ self.coef_.T + self.intercept_
+
+    def predict(self, X):
+        return self.classes_[np.argmax(self.decision_function(X), axis=1)]
+
+
+class LogisticRegression(_LinearClassifier):
     """Softmax regression with L2 strength 1/C."""
 
     kind = "logistic_regression"
@@ -217,35 +247,109 @@ class LogisticRegression:
         Xa = _augment(X)
         lam = 1.0 / self.C
         if self.solver == "lbfgs":
-            theta = _solve_lbfgs(Xa, Y, lam, self.tol, self.max_iter)
+            solved = _solve_lbfgs(Xa, Y, lam, self.tol, self.max_iter)
         elif self.solver == "sag":
-            theta = _solve_sag(Xa, Y, lam, self.tol, self.max_iter, self.seed)
+            solved = _solve_sag(Xa, Y, lam, self.tol, self.max_iter, self.seed)
         else:
-            theta = _solve_newton_cg(Xa, Y, lam, self.tol, self.max_iter)
+            solved = _solve_newton_cg(Xa, Y, lam, self.tol, self.max_iter)
+        theta, self.n_iter_, self.converged_ = solved
         self.coef_ = theta[:, :-1]
         self.intercept_ = theta[:, -1]
         return self
 
-    def decision_function(self, X):
-        return X @ self.coef_.T + self.intercept_
-
     def predict_proba(self, X):
-        X = check_predict_input(self, X)
         return _softmax_rows(self.decision_function(X))
 
-    def predict(self, X):
-        X = check_predict_input(self, X)
-        scores = self.decision_function(X)
-        return self.classes_[np.argmax(scores, axis=1)]
+
+def _perceptron_lockstep(fits, lr, decay):
+    """Run the perceptron epochs of several ``(model, X, codes)`` fits at once.
+
+    The fits share their number of classes and features, ``lr`` and
+    ``decay``. Step s of an epoch decays, scores and corrects every fit that
+    is still running and has more than s rows, each at the s-th row of its
+    own visit order, so each fit does the arithmetic of a lone fit. Stacked
+    (fit, class, feature) weights turn a step's decay and matvec into one
+    numpy call each, and its corrections into one scatter.
+    """
+    # longest first, so the fits with more than s rows are a prefix
+    fits = sorted(fits, key=lambda fit: -fit[1].shape[0])
+    models = [model for model, _, _ in fits]
+    F, K, d = len(fits), len(models[0].classes_), fits[0][1].shape[1]
+    sizes = np.array([X.shape[0] for _, X, _ in fits])
+    max_epochs = np.array([model.max_epochs for model in models])
+    targets = []
+    for _, X, codes in fits:
+        T = np.full((codes.size, K), -1.0)
+        T[np.arange(codes.size), codes] = 1.0
+        targets.append(T)
+    rngs = [make_rng(model.seed, 0) for model in models]
+    W = np.zeros((F, K, d))
+    b = np.zeros((F, K))
+    live = np.arange(F)  # fits still running, longest first
+    clean = np.zeros(F, dtype=bool)
+    epoch = 0
+    while True:
+        done = clean[live] | (max_epochs[live] <= epoch)
+        for j in np.nonzero(done)[0]:
+            model = models[live[j]]
+            model.coef_, model.intercept_ = W[j].copy(), b[j].copy()
+            model.n_iter_, model.converged_ = epoch, bool(clean[live[j]])
+        if done.all():
+            return
+        if done.any():
+            live, W, b = live[~done], W[~done], b[~done]
+        epoch += 1
+        M = live.size
+        # step-major visit orders: X_ord[s, j] is fit j's s-th row
+        X_ord = np.zeros((sizes[live[0]], M, d))
+        T_ord = np.zeros((sizes[live[0]], M, K))
+        for j, f in enumerate(live):
+            order = rngs[f].permutation(sizes[f])
+            X_ord[: sizes[f], j] = fits[f][1][order]
+            T_ord[: sizes[f], j] = targets[f][order]
+        L_rows = lr * T_ord.reshape(-1, M * K)
+        running = (sizes[live] > np.arange(X_ord.shape[0])[:, None]).sum(axis=1)
+        # row j * K + k of W_rows is class k of fit j; the first m fits are
+        # its first m * K rows
+        W_rows, b_rows = W.reshape(M * K, d), b.reshape(M * K)
+        fit_of_row = np.repeat(np.arange(M), K)
+        scores = np.empty((M, K, 1))
+        margin = np.empty((M, K))
+        wrong_mask = np.empty(M * K, dtype=bool)
+        # views of the buffers cut to the first m fits, for each m that occurs
+        margin_rows = margin.reshape(M * K)
+        prefix = {
+            m: (W[:m], b[:m], scores[:m], scores[:m, :, 0])
+            + (margin[:m], margin_rows[: m * K], wrong_mask[: m * K])
+            for m in set(running.tolist())
+        }
+        erred = np.zeros(M, dtype=bool)
+        for x, t, lt, m in zip(X_ord, T_ord, L_rows, running.tolist()):
+            w, b_m, scores_m, score, margin_m, margin_m_rows, wrong_m = prefix[m]
+            x = x[:m]
+            w *= decay
+            np.matmul(w, x[:, :, None], out=scores_m)
+            score += b_m
+            np.multiply(t[:m], score, out=margin_m)
+            np.less_equal(margin_m_rows, 0.0, out=wrong_m)
+            wrong = wrong_m.nonzero()[0]
+            if wrong.size:
+                fi = fit_of_row[wrong]
+                step = lt[wrong]
+                W_rows[wrong] += step[:, None] * x[fi]
+                b_rows[wrong] += step
+                erred[fi] = True
+        clean[live] = ~erred
 
 
-class Perceptron:
+class Perceptron(_LinearClassifier):
     """One-vs-rest perceptron with multiplicative L2 decay ``alpha``.
 
     Each visited sample first decays every weight vector by
     (1 - lr * alpha), then applies the classic mistake-driven update for
     the classifiers whose margin is not positive. Training stops early
-    after a full epoch without mistakes.
+    after a full epoch without mistakes (``converged_``); ``n_iter_``
+    counts the epochs run.
     """
 
     kind = "perceptron"
@@ -259,46 +363,32 @@ class Perceptron:
         self.seed = int(seed)
 
     def fit(self, X, y):
-        X, codes, self.classes_ = encode_training_data(X, y)
-        self.n_features_ = X.shape[1]
-        n, d = X.shape
-        K = len(self.classes_)
-        targets = np.full((n, K), -1.0)
-        targets[np.arange(n), codes] = 1.0
-        W = np.zeros((K, d))
-        b = np.zeros(K)
-        decay = 1.0 - self.lr * self.alpha
-        if decay < 0:
-            raise ValueError("lr * alpha must not exceed 1")
-        rng = make_rng(self.seed, 0)
-        for _ in range(self.max_epochs):
-            order = rng.permutation(n)
-            mistakes = 0
-            for i in order:
-                x = X[i]
-                W *= decay
-                scores = W @ x + b
-                wrong = targets[i] * scores <= 0.0
-                if np.any(wrong):
-                    mistakes += int(np.count_nonzero(wrong))
-                    t = self.lr * targets[i][wrong]
-                    W[wrong] += t[:, None] * x
-                    b[wrong] += t
-            if mistakes == 0:
-                break
-        self.coef_ = W
-        self.intercept_ = b
+        self.fit_together([self], [X], [y])
         return self
 
-    def decision_function(self, X):
-        return X @ self.coef_.T + self.intercept_
+    @staticmethod
+    def fit_together(models, Xs, ys):
+        """Fit each ``models[f]`` on ``(Xs[f], ys[f])``, bit for bit as its
+        own ``fit`` would, stepping fits that share their shape, ``lr``
+        and ``alpha`` in lockstep.
 
-    def predict(self, X):
-        X = check_predict_input(self, X)
-        return self.classes_[np.argmax(self.decision_function(X), axis=1)]
+        Cross-validation fits its folds through this; ``fit`` is the
+        one-fit case.
+        """
+        groups = {}
+        for model, X, y in zip(models, Xs, ys):
+            X, codes, model.classes_ = encode_training_data(X, y)
+            model.n_features_ = X.shape[1]
+            decay = 1.0 - model.lr * model.alpha
+            if decay < 0:
+                raise ValueError("lr * alpha must not exceed 1")
+            key = (len(model.classes_), X.shape[1], model.lr, decay)
+            groups.setdefault(key, []).append((model, X, codes))
+        for (_, _, lr, decay), fits in groups.items():
+            _perceptron_lockstep(fits, lr, decay)
 
 
-class LinearSVC:
+class LinearSVC(_LinearClassifier):
     """One-vs-rest linear SVM trained by deterministic subgradient descent.
 
     Objective per class: (1/(2C))||w||^2 + mean hinge loss. Every epoch
@@ -337,10 +427,3 @@ class LinearSVC:
         self.coef_ = W
         self.intercept_ = b
         return self
-
-    def decision_function(self, X):
-        return X @ self.coef_.T + self.intercept_
-
-    def predict(self, X):
-        X = check_predict_input(self, X)
-        return self.classes_[np.argmax(self.decision_function(X), axis=1)]

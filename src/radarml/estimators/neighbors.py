@@ -27,6 +27,9 @@ class KNearestNeighbors:
     """
 
     kind = "knn"
+    # The k nearest neighbors are the first k of one stable sort, so one fit
+    # scores every n_neighbors up to its own, through ``staged_predict``.
+    staged_param = "n_neighbors"
 
     def __init__(self, n_neighbors=1, seed=0):
         if int(n_neighbors) < 1:
@@ -45,22 +48,30 @@ class KNearestNeighbors:
         self.n_features_ = X.shape[1]
         return self
 
-    def predict_codes(self, X) -> np.ndarray:
+    def _staged_codes(self, X) -> np.ndarray:
+        """Class codes, (rows, n_neighbors): column k - 1 is the vote of the
+        k nearest neighbors, whose ties go to the smallest code."""
         k = self.n_neighbors
-        n_classes = len(self.classes_)
-        out = np.empty(X.shape[0], dtype=np.int64)
+        classes = np.arange(len(self.classes_))
+        out = np.empty((X.shape[0], k), dtype=np.int64)
         rows = max(1, _BLOCK_ELEMENTS // self._X.size)
         for start in range(0, X.shape[0], rows):
             block = X[start : start + rows]
             d2 = _pairwise_sq_distances(block, self._X)
             # stable sort so equal distances keep training order
             nearest = np.argsort(d2, axis=1, kind="stable")[:, :k]
-            votes = self._codes[nearest]
-            for i in range(block.shape[0]):
-                counts = np.bincount(votes[i], minlength=n_classes)
-                out[start + i] = int(np.argmax(counts))
+            # votes[i, j, c]: neighbors among the j + 1 nearest in class c
+            votes = np.cumsum(self._codes[nearest][:, :, None] == classes, axis=1)
+            out[start : start + rows] = np.argmax(votes, axis=2)
         return out
+
+    def staged_predict(self, X):
+        """Labels for each k: entry k - 1 is what a k-neighbor fit predicts."""
+        X = check_predict_input(self, X)
+        codes = self._staged_codes(X)
+        for k in range(self.n_neighbors):
+            yield self.classes_[codes[:, k]]
 
     def predict(self, X):
         X = check_predict_input(self, X)
-        return self.classes_[self.predict_codes(X)]
+        return self.classes_[self._staged_codes(X)[:, -1]]

@@ -135,13 +135,18 @@ def cross_val_scores(kind, params, X, y, folds, seed=0, stages=None):
     With ``stages``, values of the class's ``staged_param`` no larger than
     the one in ``params``, each fold's model is fit once and scored after
     each of those stages; the result is then one tuple per entry of
-    ``stages``, in its order.
+    ``stages``, in its order. A class that declares ``fit_together``
+    fits all folds in one call, each with its own seed.
     """
     cls = ESTIMATOR_CLASSES[kind]
+    models = [cls(**params, seed=derive_seed(seed, fi)) for fi in range(len(folds))]
+    fit_together = getattr(cls, "fit_together", None)
+    if fit_together is not None:
+        fit_together(models, [X[tr] for tr, _ in folds], [y[tr] for tr, _ in folds])
     per_fold = []
-    for fi, (tr, va) in enumerate(folds):
-        model = cls(**params, seed=derive_seed(seed, fi))
-        model.fit(X[tr], y[tr])
+    for model, (tr, va) in zip(models, folds):
+        if fit_together is None:
+            model.fit(X[tr], y[tr])
         if stages is None:
             per_fold.append(accuracy_percent(y[va], model.predict(X[va])))
         else:
@@ -224,6 +229,9 @@ class EvalReport:
     n_train: int
     n_test: int
     seconds: float
+    # how the refit ended, for kinds whose fit iterates to a stopping rule
+    n_iter: int | None = None
+    converged: bool | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -238,6 +246,8 @@ class EvalReport:
             "n_train": self.n_train,
             "n_test": self.n_test,
             "seconds": self.seconds,
+            "n_iter": self.n_iter,
+            "converged": self.converged,
         }
 
 
@@ -309,6 +319,8 @@ def evaluate_kinds(
                 n_train=int(y_train.size),
                 n_test=int(y_test.size),
                 seconds=time.perf_counter() - started,
+                n_iter=getattr(model, "n_iter_", None),
+                converged=getattr(model, "converged_", None),
             )
         except Exception as exc:  # isolate per kind
             result.errors[kind] = f"{type(exc).__name__}: {exc}"

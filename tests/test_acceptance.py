@@ -11,6 +11,7 @@ import statistics
 import time
 
 import numpy as np
+import pytest
 import yaml
 
 from radarml.cli import _GEN_KEY, _SCHEME_ORDER, main
@@ -147,6 +148,7 @@ def _derived(config, scenario_id, scheme):
     return standardize_dataset(derive_dataset(raw, "motion_filtered"))
 
 
+@pytest.mark.slow
 def test_criterion_5_qualitative_reproduction():
     started = time.perf_counter()
     per_kind = {k: [] for k in ("decision_tree",) + _ENSEMBLES}

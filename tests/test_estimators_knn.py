@@ -42,6 +42,31 @@ class TestAgainstExhaustiveOracle:
         assert model.predict(X_test).tolist() == want
 
 
+class TestStagedPredict:
+    @pytest.mark.parametrize("block_elements", [1, 1 << 17])
+    def test_each_stage_matches_a_fit_with_that_k(self, monkeypatch, block_elements):
+        # the discrete grid of the oracle test: many tied distances and votes
+        monkeypatch.setattr(neighbors, "_BLOCK_ELEMENTS", block_elements)
+        rng = np.random.default_rng(9)
+        X_train = rng.integers(0, 2, size=(40, 5)).astype(np.float64)
+        y_train = rng.integers(0, 3, size=40) * 10
+        y_train[:3] = [0, 10, 20]
+        X_test = rng.integers(0, 2, size=(100, 5)).astype(np.float64)
+        staged = list(KNearestNeighbors(n_neighbors=40).fit(X_train, y_train).staged_predict(X_test))
+        assert len(staged) == 40
+        for k, labels in enumerate(staged, start=1):
+            alone = KNearestNeighbors(n_neighbors=k).fit(X_train, y_train)
+            np.testing.assert_array_equal(labels, alone.predict(X_test))
+            want = [oracle_predict_one(X_train, y_train // 10, x, k, 3) * 10 for x in X_test]
+            assert labels.tolist() == want
+        assert len({labels.tobytes() for labels in staged}) > 5
+
+    def test_validates_input(self):
+        model = KNearestNeighbors(n_neighbors=2).fit(np.eye(3), [0, 1, 1])
+        with pytest.raises(ValueError):
+            next(model.staged_predict(np.eye(4)))
+
+
 class TestTieRules:
     def test_equal_distance_keeps_lower_training_index(self):
         X = np.array([[1.0], [-1.0]])  # both at distance 1 from the query

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from radarml.estimators import linear
 from radarml.estimators.linear import (
     LinearSVC,
     LogisticRegression,
@@ -154,3 +155,73 @@ class TestLinearSVC:
     def test_bad_c_rejected(self):
         with pytest.raises(ValueError):
             LinearSVC(C=-1.0)
+
+
+class TestFitsSayHowTheyEnded:
+    @pytest.mark.parametrize("solver", ["lbfgs", "sag", "newton-cg"])
+    def test_converged_fit(self, solver):
+        X, y = blobs()
+        model = LogisticRegression(C=1.0, solver=solver).fit(X, y)
+        assert model.converged_ is True
+        assert 0 < model.n_iter_ < model.max_iter
+
+    @pytest.mark.parametrize("solver", ["lbfgs", "sag", "newton-cg"])
+    def test_out_of_iterations(self, solver):
+        X, y = blobs()
+        model = LogisticRegression(C=1.0, solver=solver, max_iter=2).fit(X, y)
+        assert (model.n_iter_, model.converged_) == (2, False)
+
+    @pytest.mark.parametrize("solver", ["lbfgs", "newton-cg"])
+    def test_line_search_failure(self, monkeypatch, solver):
+        # a loss that rises on every move away from the start leaves the
+        # Armijo search no step to accept
+        real = linear._nll_loss_grad
+
+        def rising(theta, Xa, Y, lam):
+            loss, grad = real(theta, Xa, Y, lam)
+            return loss + float(np.any(theta)), grad
+
+        monkeypatch.setattr(linear, "_nll_loss_grad", rising)
+        model = LogisticRegression(solver=solver).fit(*blobs())
+        assert (model.n_iter_, model.converged_) == (0, False)
+        assert not np.any(model.coef_)
+
+    def test_perceptron_clean_epoch(self):
+        X, y = blobs()
+        model = Perceptron(alpha=0.0).fit(X, y)
+        assert model.converged_ is True
+        assert 1 < model.n_iter_ < model.max_epochs
+
+    def test_perceptron_out_of_epochs(self):
+        X, y = blobs(spread=4.0)
+        model = Perceptron(max_epochs=3).fit(X, y)
+        assert (model.n_iter_, model.converged_) == (3, False)
+
+
+@pytest.mark.parametrize("cls", [LogisticRegression, Perceptron, LinearSVC])
+class TestDecisionFunctionValidates:
+    def test_one_row_as_a_vector_rejected(self, cls):
+        X, y = blobs()
+        model = cls().fit(X, y)
+        with pytest.raises(ValueError, match="2-D"):
+            model.decision_function(X[0])
+
+    def test_nan_rows_rejected(self, cls):
+        X, y = blobs()
+        model = cls().fit(X, y)
+        bad = X[:3].copy()
+        bad[1, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            model.decision_function(bad)
+        with pytest.raises(ValueError, match="non-finite"):
+            model.predict(bad)
+
+    def test_unfitted_rejected(self, cls):
+        with pytest.raises(ValueError, match="not fitted"):
+            cls().decision_function(np.zeros((2, 2)))
+
+    def test_wrong_width_rejected(self, cls):
+        X, y = blobs()
+        model = cls().fit(X, y)
+        with pytest.raises(ValueError, match="expected 2 features"):
+            model.decision_function(np.zeros((2, 3)))

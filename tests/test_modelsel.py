@@ -180,6 +180,35 @@ class TestStagedGridSearch:
         assert len({c.scores for c in expected}) > 1
 
 
+class TestStagedKnnSearch:
+    def test_k_1_to_30_matches_one_fit_per_candidate(self):
+        y = np.repeat([0, 1, 2], 25)
+        rng = np.random.default_rng(8)
+        X = np.round(np.column_stack([features_for(y, jitter=2.0), rng.normal(size=(y.size, 2))]))
+        folds = stratified_kfold(y, 5, seed=3)
+        candidates = [{"n_neighbors": k} for k in range(1, 31)]
+        result = grid_search("knn", X, y, folds, seed=5, candidates=candidates)
+        expected = [
+            CandidateScore(p, cross_val_scores("knn", p, X, y, folds, seed=derive_seed(5, ci)))
+            for ci, p in enumerate(candidates)
+        ]
+        assert result.candidates == expected
+        assert result.best_index == select_best(expected)
+        assert len({c.scores for c in expected}) > 5
+
+    def test_k_beyond_a_fold_lands_the_kind_in_errors(self):
+        y = np.repeat([0, 1], 10)
+        X = features_for(y)
+        result = evaluate_kinds(
+            X, y, X, y,
+            kinds=("knn",),
+            candidates_by_kind={"knn": [{"n_neighbors": k} for k in range(1, 31)]},
+            seed=0,
+        )
+        assert result.reports == {}
+        assert "exceeds 16 training examples" in result.errors["knn"]
+
+
 class TestEvaluateKinds:
     def test_reports_and_failure_isolation(self):
         y = np.repeat([0, 1], 30)
@@ -235,6 +264,26 @@ class TestEvaluateKinds:
         )
         blob = json.dumps(result.reports["linear_svc"].to_dict())
         assert "test_accuracy" in blob
+
+    def test_report_says_how_the_refit_ended(self):
+        y = np.repeat([0, 1], 20)
+        X = features_for(y)
+        result = evaluate_kinds(
+            X[::2], y[::2], X[1::2], y[1::2],
+            kinds=("perceptron", "logistic_regression", "knn"),
+            candidates_by_kind={
+                "perceptron": [{"alpha": 0.0001}],
+                "logistic_regression": [{"C": 1.0, "solver": "sag"}],
+                "knn": [{"n_neighbors": 1}],
+            },
+            seed=0,
+        )
+        for kind in ("perceptron", "logistic_regression"):
+            report = result.reports[kind].to_dict()
+            assert report["converged"] is True
+            assert isinstance(report["n_iter"], int) and report["n_iter"] >= 1
+        knn = result.reports["knn"].to_dict()
+        assert knn["n_iter"] is None and knn["converged"] is None
 
 
 class TestRunExperiment:

@@ -28,10 +28,12 @@ import numpy as np
 import yaml
 
 from .config import (
+    SCHEMES,
     ConfigError,
     ExperimentConfig,
     build_plan,
     parse_config,
+    read_config,
 )
 from .dataset import (
     DATA_TYPES,
@@ -57,8 +59,6 @@ _GEN_KEY = 301
 _SPLIT_KEY = 302
 _RUN_KEY = 303
 
-_SCHEME_ORDER = ("simple4", "grid10")
-
 
 class MissingInputError(FileNotFoundError):
     pass
@@ -79,7 +79,7 @@ def _dataset_paths(out_dir, dataset_id):
 def _entry_keys(config: ExperimentConfig, entry):
     """Stable integer keys for seed derivation, independent of filters."""
     si = [s.scenario_id for s in config.scenarios].index(entry.scenario.scenario_id)
-    schi = _SCHEME_ORDER.index(entry.scheme)
+    schi = SCHEMES.index(entry.scheme)
     dti = DATA_TYPES.index(entry.data_type)
     return si, schi, dti
 
@@ -330,19 +330,7 @@ def _parse_estimators(value):
 
 
 def _load(args) -> ExperimentConfig:
-    if args.config:
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                raw = yaml.safe_load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"cannot parse config {args.config}: {exc}") from exc
-        raw = {} if raw is None else raw
-    else:
-        raw = {}
-    if not isinstance(raw, dict):
-        raise ConfigError("config: top level must be a mapping")
+    raw = read_config(args.config) if args.config else {}
     if args.seed is not None:
         if args.seed < 0:
             raise ConfigError("--seed: must be nonnegative")

@@ -8,7 +8,8 @@ by name so typos fail loudly instead of silently using defaults.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass, fields
 
 import yaml
 
@@ -28,25 +29,14 @@ _SCENARIO_SEED_KEY = 201
 
 SCHEMES = (SIMPLE4, GRID10)
 
-_SCENARIO_FIELDS = {
-    "environment": str,
-    "n_bins": int,
-    "bin_duration_ps": float,
-    "clutter_amplitude": float,
-    "clutter_path_count": int,
-    "noise_sigma": float,
-    "direct_path_amplitude": float,
-    "seed": int,
-    "pulse_center_freq_hz": float,
-    "pulse_sigma_ps": float,
-    "amplitude_exponent": float,
-}
 
-_TARGET_FIELDS = {
-    "reflectivity": float,
-    "jitter_sigma": float,
-    "min_range": float,
-}
+def _field_types(cls, skip=()):
+    """Field name -> declared type of a dataclass, in field order."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls) if f.name not in skip}
+
+
+_SCENARIO_FIELDS = _field_types(Scenario, skip=("scenario_id",))
 
 # calibrated so motion filtering separates the classes cleanly outdoors
 # while the noisier, more cluttered indoor setting degrades accuracy
@@ -126,6 +116,9 @@ class TargetParams:
     reflectivity: float = DEFAULT_REFLECTIVITY
     jitter_sigma: float = DEFAULT_JITTER_SIGMA
     min_range: float = DEFAULT_MIN_RANGE
+
+
+_TARGET_FIELDS = _field_types(TargetParams)
 
 
 @dataclass(frozen=True)
@@ -245,7 +238,8 @@ def parse_config(raw) -> ExperimentConfig:
     )
 
 
-def load_config(path) -> ExperimentConfig:
+def read_config(path) -> dict:
+    """The YAML mapping in a config file (empty for an empty file), unvalidated."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = yaml.safe_load(fh)
@@ -254,8 +248,14 @@ def load_config(path) -> ExperimentConfig:
     except yaml.YAMLError as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
     if raw is None:
-        raw = {}
-    return parse_config(raw)
+        return {}
+    if not isinstance(raw, dict):
+        raise ConfigError("config: top level must be a mapping")
+    return raw
+
+
+def load_config(path) -> ExperimentConfig:
+    return parse_config(read_config(path))
 
 
 def build_plan(config: ExperimentConfig, out_dir=".", data_types=None) -> ExperimentPlan:

@@ -1,16 +1,16 @@
 """Supervised estimators and their hyperparameter grids.
 
 Everything is trained from scratch on numpy; no external ML library is
-involved. ``EstimatorSpec`` names a kind plus grid-validated parameters,
-and ``fit_spec`` turns one into a fitted model.
+involved. ``ESTIMATOR_CLASSES`` maps each kind to its class, whose
+constructor takes the kind's grid axes plus ``seed`` and whose ``fitted``
+names the state ``fit`` sets beyond ``classes_`` and ``n_features_``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .ensemble import ExtraTrees, GradientBoosting, RandomForest
 from .grids import (
+    ESTIMATOR_CLASSES,
     GRID_AXES,
     KINDS,
     grid_axes,
@@ -18,7 +18,7 @@ from .grids import (
     grid_size,
     validate_params,
 )
-from .io import ESTIMATOR_CLASSES, ModelFormatError, load_model, save_model
+from .io import ModelFormatError, load_model, save_model
 from .linear import LinearSVC, LogisticRegression, Perceptron
 from .metrics import accuracy_percent, confusion_matrix
 from .neighbors import KNearestNeighbors
@@ -31,9 +31,6 @@ __all__ = [
     "grid_candidates",
     "grid_size",
     "validate_params",
-    "EstimatorSpec",
-    "make_estimator",
-    "fit_spec",
     "accuracy_percent",
     "confusion_matrix",
     "save_model",
@@ -49,36 +46,3 @@ __all__ = [
     "ExtraTrees",
     "GradientBoosting",
 ]
-
-
-@dataclass(frozen=True)
-class EstimatorSpec:
-    """An estimator kind with parameters restricted to its grid.
-
-    Missing axes fall back to the constructor defaults; anything outside
-    the published grid is rejected at construction time.
-    """
-
-    kind: str
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown estimator kind {self.kind!r}; expected one of {KINDS}")
-        object.__setattr__(self, "params", validate_params(self.kind, dict(self.params)))
-
-    def describe(self) -> str:
-        if not self.params:
-            return self.kind
-        inner = ", ".join(f"{k}={v}" for k, v in sorted(self.params.items()))
-        return f"{self.kind}({inner})"
-
-
-def make_estimator(spec: EstimatorSpec, seed: int = 0):
-    """Instantiate the estimator a spec describes, with the given seed."""
-    cls = ESTIMATOR_CLASSES[spec.kind]
-    return cls(**spec.params, seed=seed)
-
-
-def fit_spec(spec: EstimatorSpec, X, y, seed: int = 0):
-    return make_estimator(spec, seed=seed).fit(X, y)

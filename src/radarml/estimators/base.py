@@ -1,4 +1,4 @@
-"""Shared input validation and label encoding for the estimators."""
+"""Shared input validation, label encoding and prediction for the estimators."""
 
 from __future__ import annotations
 
@@ -43,3 +43,19 @@ def check_predict_input(model, X) -> np.ndarray:
             f"expected {model.n_features_} features, got {X.shape[1]}"
         )
     return X
+
+
+class Classifier:
+    """What every estimator shares.
+
+    ``fit`` sets ``classes_``, ``n_features_`` and each attribute named in
+    ``fitted``, which is all a saved model needs beyond its constructor
+    params. ``predict`` validates its input and maps the class codes of
+    ``_predict_codes`` to labels.
+    """
+
+    fitted = ()
+
+    def predict(self, X):
+        codes = self._predict_codes(check_predict_input(self, X))
+        return self.classes_[codes]

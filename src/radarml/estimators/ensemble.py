@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..seeding import seed_sequence
-from .base import check_predict_input, encode_training_data
+from .base import Classifier, check_predict_input, encode_training_data
 from .tree import CRITERIA, grow_classification, grow_regression, presort, tree_apply
 
 
@@ -25,7 +25,9 @@ def _majority_vote(trees, X, n_classes):
     return counts.argmax(axis=1)
 
 
-class _BaseForest:
+class _BaseForest(Classifier):
+    fitted = ("trees_",)
+
     def __init__(self, n_estimators=16, criterion="gini", max_features="auto", seed=0):
         if int(n_estimators) < 1:
             raise ValueError("n_estimators must be >= 1")
@@ -67,12 +69,8 @@ class _BaseForest:
             )
         return self
 
-    def predict_codes(self, X) -> np.ndarray:
+    def _predict_codes(self, X):
         return _majority_vote(self.trees_, X, len(self.classes_))
-
-    def predict(self, X):
-        X = check_predict_input(self, X)
-        return self.classes_[self.predict_codes(X)]
 
 
 class RandomForest(_BaseForest):
@@ -91,7 +89,7 @@ class ExtraTrees(_BaseForest):
     _splitter = "random"
 
 
-class GradientBoosting:
+class GradientBoosting(Classifier):
     """Multinomial-deviance boosting with depth-3 regression trees.
 
     Scores start at the class log-priors; each stage fits one tree per
@@ -101,6 +99,7 @@ class GradientBoosting:
     """
 
     kind = "gradient_boosting"
+    fitted = ("init_scores_", "train_deviance_", "stages_")
     # An n-stage fit holds every smaller fit exactly and ignores the seed,
     # so one fit per fold can score each n_estimators up to n, through
     # ``staged_predict``.
@@ -162,15 +161,12 @@ class GradientBoosting:
             yield F
 
     def decision_function(self, X):
-        *_, F = self.staged_decision_function(X)
+        *_, F = self.staged_decision_function(check_predict_input(self, X))
         return F
 
-    def predict_codes(self, X) -> np.ndarray:
-        return np.argmax(self.decision_function(X), axis=1)
-
-    def predict(self, X):
-        X = check_predict_input(self, X)
-        return self.classes_[self.predict_codes(X)]
+    def _predict_codes(self, X):
+        *_, F = self.staged_decision_function(X)
+        return np.argmax(F, axis=1)
 
     def staged_predict(self, X):
         """Labels after each stage: entry s - 1 is what an s-stage fit

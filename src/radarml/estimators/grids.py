@@ -1,4 +1,4 @@
-"""Hyperparameter grids for the eight estimator kinds.
+"""The eight estimator kinds: their classes and hyperparameter grids.
 
 Axes are ordered data, not code: candidate enumeration is the cartesian
 product in axis order with the last axis varying fastest, so candidate
@@ -9,6 +9,11 @@ from __future__ import annotations
 
 import itertools
 from types import MappingProxyType
+
+from .ensemble import ExtraTrees, GradientBoosting, RandomForest
+from .linear import LinearSVC, LogisticRegression, Perceptron
+from .neighbors import KNearestNeighbors
+from .tree import DecisionTree
 
 _C_VALUES = (0.001, 0.01, 0.1, 1.0, 10.0, 100.0, 1000.0)
 _TREE_COUNTS = (16, 32, 64, 128, 256)
@@ -47,6 +52,22 @@ GRID_AXES = MappingProxyType(
 )
 
 KINDS = tuple(GRID_AXES)
+
+ESTIMATOR_CLASSES = MappingProxyType(
+    {
+        cls.kind: cls
+        for cls in (
+            LogisticRegression,
+            Perceptron,
+            KNearestNeighbors,
+            LinearSVC,
+            DecisionTree,
+            RandomForest,
+            ExtraTrees,
+            GradientBoosting,
+        )
+    }
+)
 
 
 def grid_axes(kind: str):

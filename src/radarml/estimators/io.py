@@ -1,51 +1,32 @@
 """Save and load fitted estimators as .npz containers.
 
 The container holds a JSON metadata blob (kind, constructor params,
-format version) plus the fitted arrays verbatim, so a load/save round
-trip reproduces predictions bit for bit.
+format version) plus every attribute ``fit`` sets: ``classes_``,
+``n_features_`` and the names the class declares in ``fitted``, so a
+load/save round trip reproduces predictions bit for bit. Arrays and
+scalars are stored verbatim under their attribute name. Tree nodes (one
+tree, a list of trees, or a list of stages of trees) are stored as one
+concatenated array per node field plus a ``sizes`` array of node counts
+whose shape is the nesting.
 """
 
 from __future__ import annotations
 
+import inspect
 import io
 import json
+import zipfile
 
 import numpy as np
 
 from ..dataset import write_atomic
-from .ensemble import ExtraTrees, GradientBoosting, RandomForest
-from .linear import LinearSVC, LogisticRegression, Perceptron
-from .neighbors import KNearestNeighbors
-from .tree import DecisionTree, TreeNodes
+from .grids import ESTIMATOR_CLASSES
+from .tree import TreeNodes
 
 FORMAT_NAME = "radarml-model"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
-ESTIMATOR_CLASSES = {
-    cls.kind: cls
-    for cls in (
-        LogisticRegression,
-        Perceptron,
-        KNearestNeighbors,
-        LinearSVC,
-        DecisionTree,
-        RandomForest,
-        ExtraTrees,
-        GradientBoosting,
-    )
-}
-
-_PARAM_ATTRS = {
-    "logistic_regression": ("C", "solver", "tol", "max_iter", "seed"),
-    "perceptron": ("alpha", "lr", "max_epochs", "seed"),
-    "knn": ("n_neighbors", "seed"),
-    "linear_svc": ("C", "max_epochs", "seed"),
-    "decision_tree": ("criterion", "max_features", "seed", "splitter", "max_depth"),
-    "random_forest": ("n_estimators", "criterion", "max_features", "seed"),
-    "extra_trees": ("n_estimators", "criterion", "max_features", "seed"),
-    "gradient_boosting": ("n_estimators", "learning_rate", "max_depth", "seed"),
-}
-
+_COMMON_STATE = ("classes_", "n_features_")
 _NODE_FIELDS = ("feature", "threshold", "left", "right", "value")
 
 
@@ -53,102 +34,80 @@ class ModelFormatError(ValueError):
     """Raised when a model file does not match the expected container."""
 
 
-def _pack_trees(trees, arrays, prefix):
-    arrays[prefix + "sizes"] = np.asarray([t.n_nodes for t in trees], dtype=np.int64)
+def _pack(name, value, arrays):
+    if not isinstance(value, (TreeNodes, list)):
+        arrays[name] = value
+        return
+    nested = np.array(value, dtype=object)  # a TreeNodes is not a sequence
+    trees = nested.ravel()
+    sizes = np.array([t.n_nodes for t in trees], dtype=np.int64)
+    arrays[name + ".sizes"] = sizes.reshape(nested.shape)
     for field in _NODE_FIELDS:
-        arrays[prefix + field] = np.concatenate([getattr(t, field) for t in trees])
+        arrays[f"{name}.{field}"] = np.concatenate([getattr(t, field) for t in trees])
 
 
-def _unpack_trees(arrays, prefix):
-    sizes = arrays[prefix + "sizes"]
-    bounds = np.cumsum(sizes)[:-1]
-    split = {f: np.split(arrays[prefix + f], bounds) for f in _NODE_FIELDS}
-    return [
-        TreeNodes(**{f: split[f][i] for f in _NODE_FIELDS}) for i in range(sizes.size)
-    ]
-
-
-def _collect_arrays(model) -> dict:
-    kind = model.kind
-    arrays = {"classes": model.classes_}
-    if kind in ("logistic_regression", "perceptron", "linear_svc"):
-        arrays["coef"] = model.coef_
-        arrays["intercept"] = model.intercept_
-    elif kind == "knn":
-        arrays["train_x"] = model._X
-        arrays["train_codes"] = model._codes
-    elif kind == "decision_tree":
-        _pack_trees([model.nodes_], arrays, "tree_")
-    elif kind in ("random_forest", "extra_trees"):
-        _pack_trees(model.trees_, arrays, "tree_")
-    elif kind == "gradient_boosting":
-        arrays["init_scores"] = model.init_scores_
-        arrays["train_deviance"] = model.train_deviance_
-        flat = [nodes for stage in model.stages_ for nodes in stage]
-        _pack_trees(flat, arrays, "tree_")
-    else:
-        raise ModelFormatError(f"unknown estimator kind {kind!r}")
-    return arrays
-
-
-def _restore_arrays(model, arrays, n_features):
-    kind = model.kind
-    model.classes_ = arrays["classes"]
-    model.n_features_ = n_features
-    if kind in ("logistic_regression", "perceptron", "linear_svc"):
-        model.coef_ = arrays["coef"]
-        model.intercept_ = arrays["intercept"]
-    elif kind == "knn":
-        model._X = arrays["train_x"]
-        model._codes = arrays["train_codes"]
-    elif kind == "decision_tree":
-        model.nodes_ = _unpack_trees(arrays, "tree_")[0]
-    elif kind in ("random_forest", "extra_trees"):
-        model.trees_ = _unpack_trees(arrays, "tree_")
-    elif kind == "gradient_boosting":
-        model.init_scores_ = arrays["init_scores"]
-        model.train_deviance_ = arrays["train_deviance"]
-        flat = _unpack_trees(arrays, "tree_")
-        k = model.classes_.size
-        model.stages_ = [flat[i : i + k] for i in range(0, len(flat), k)]
-    return model
+def _unpack(name, arrays):
+    if name in arrays:
+        value = arrays[name]
+        return value.item() if value.ndim == 0 else value
+    sizes = arrays[name + ".sizes"]
+    bounds = np.cumsum(sizes.ravel())[:-1]
+    split = {f: np.split(arrays[f"{name}.{f}"], bounds) for f in _NODE_FIELDS}
+    trees = np.empty(sizes.size, dtype=object)
+    trees[:] = [TreeNodes(**{f: split[f][i] for f in _NODE_FIELDS}) for i in range(sizes.size)]
+    return trees.reshape(sizes.shape).tolist()
 
 
 def save_model(model, path) -> None:
     if not hasattr(model, "classes_"):
         raise ValueError("cannot save an unfitted estimator")
-    kind = model.kind
     meta = {
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
-        "kind": kind,
-        "n_features": int(model.n_features_),
-        "params": {a: getattr(model, a) for a in _PARAM_ATTRS[kind]},
+        "kind": model.kind,
+        "params": {p: getattr(model, p) for p in inspect.signature(type(model)).parameters},
     }
-    arrays = _collect_arrays(model)
-    arrays["meta"] = np.frombuffer(
-        json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8
-    )
+    arrays = {
+        "meta": np.frombuffer(json.dumps(meta, sort_keys=True).encode("utf-8"), dtype=np.uint8)
+    }
+    for name in (*_COMMON_STATE, *model.fitted):
+        _pack(name, getattr(model, name), arrays)
     buf = io.BytesIO()
     np.savez(buf, **arrays)
     write_atomic(path, buf.getvalue())
 
 
 def load_model(path):
-    with np.load(path) as archive:
-        arrays = {name: archive[name] for name in archive.files}
+    try:
+        with np.load(path) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+    # a non-archive fails as a pickle (ValueError), an empty file as EOFError,
+    # a plain .npy array as TypeError (an array is no context manager)
+    except (TypeError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise ModelFormatError(f"{path}: not a model archive: {exc}") from exc
     if "meta" not in arrays:
         raise ModelFormatError(f"{path}: missing metadata entry")
     try:
         meta = json.loads(bytes(arrays.pop("meta")))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ModelFormatError(f"{path}: bad metadata: {exc}") from exc
-    if meta.get("format") != FORMAT_NAME:
+    if not isinstance(meta, dict) or meta.get("format") != FORMAT_NAME:
         raise ModelFormatError(f"{path}: not a {FORMAT_NAME} file")
     if meta.get("version") != FORMAT_VERSION:
         raise ModelFormatError(f"{path}: unsupported version {meta.get('version')!r}")
     kind = meta.get("kind")
-    if kind not in ESTIMATOR_CLASSES:
+    if not isinstance(kind, str) or kind not in ESTIMATOR_CLASSES:
         raise ModelFormatError(f"{path}: unknown estimator kind {kind!r}")
-    model = ESTIMATOR_CLASSES[kind](**meta["params"])
-    return _restore_arrays(model, arrays, meta["n_features"])
+    params = meta.get("params")
+    if not isinstance(params, dict):
+        raise ModelFormatError(f"{path}: metadata has no params mapping")
+    try:
+        model = ESTIMATOR_CLASSES[kind](**params)
+    except (TypeError, ValueError) as exc:
+        raise ModelFormatError(f"{path}: bad params: {exc}") from exc
+    try:
+        for name in (*_COMMON_STATE, *model.fitted):
+            setattr(model, name, _unpack(name, arrays))
+    except KeyError as exc:
+        raise ModelFormatError(f"{path}: missing array {exc}") from exc
+    return model

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..seeding import make_rng
-from .base import check_predict_input, encode_training_data
+from .base import Classifier, check_predict_input, encode_training_data
 
 _LBFGS_MEMORY = 10
 _ARMIJO_C1 = 1e-4
@@ -211,21 +211,26 @@ def _solve_newton_cg(Xa, Y, lam, tol, max_iter):
     return theta, max_iter, bool(np.max(np.abs(g)) < tol)
 
 
-class _LinearClassifier:
+class _LinearClassifier(Classifier):
     """Scores ``X @ coef_.T + intercept_``, one column per class."""
 
-    def decision_function(self, X):
-        X = check_predict_input(self, X)
+    fitted = ("coef_", "intercept_")
+
+    def _scores(self, X):
         return X @ self.coef_.T + self.intercept_
 
-    def predict(self, X):
-        return self.classes_[np.argmax(self.decision_function(X), axis=1)]
+    def decision_function(self, X):
+        return self._scores(check_predict_input(self, X))
+
+    def _predict_codes(self, X):
+        return np.argmax(self._scores(X), axis=1)
 
 
 class LogisticRegression(_LinearClassifier):
     """Softmax regression with L2 strength 1/C."""
 
     kind = "logistic_regression"
+    fitted = ("coef_", "intercept_", "n_iter_", "converged_")
 
     def __init__(self, C=1.0, solver="lbfgs", tol=1e-5, max_iter=500, seed=0):
         if C <= 0:
@@ -353,6 +358,7 @@ class Perceptron(_LinearClassifier):
     """
 
     kind = "perceptron"
+    fitted = ("coef_", "intercept_", "n_iter_", "converged_")
 
     def __init__(self, alpha=0.0001, lr=1.0, max_epochs=100, seed=0):
         if alpha < 0:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import check_predict_input, encode_training_data
+from .base import Classifier, check_predict_input, encode_training_data
 
 # Elements of the (rows, n_train, n_features) difference temporary per
 # distance block: 1 MB of float64, so a block stays in cache (at least one
@@ -19,7 +19,7 @@ def _pairwise_sq_distances(A, B):
     return ((A[:, None, :] - B[None, :, :]) ** 2).sum(axis=2)
 
 
-class KNearestNeighbors:
+class KNearestNeighbors(Classifier):
     """k-NN with exact Euclidean distances.
 
     Neighbor ties at equal distance keep the lower training index; vote
@@ -27,6 +27,7 @@ class KNearestNeighbors:
     """
 
     kind = "knn"
+    fitted = ("_X", "_codes")
     # The k nearest neighbors are the first k of one stable sort, so one fit
     # scores every n_neighbors up to its own, through ``staged_predict``.
     staged_param = "n_neighbors"
@@ -72,6 +73,5 @@ class KNearestNeighbors:
         for k in range(self.n_neighbors):
             yield self.classes_[codes[:, k]]
 
-    def predict(self, X):
-        X = check_predict_input(self, X)
-        return self.classes_[self._staged_codes(X)[:, -1]]
+    def _predict_codes(self, X):
+        return self._staged_codes(X)[:, -1]

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .base import Classifier, encode_training_data
+
 CRITERIA = ("gini", "entropy")
 
 # Minimum improvement for a regression split; guards against accepting
@@ -376,7 +378,7 @@ def tree_apply(nodes: TreeNodes, X) -> np.ndarray:
     return nodes.value[pos]
 
 
-class DecisionTree:
+class DecisionTree(Classifier):
     """Single CART classifier grown to purity.
 
     ``max_features`` follows the grid vocabulary ("auto" | "sqrt" |
@@ -385,6 +387,7 @@ class DecisionTree:
     """
 
     kind = "decision_tree"
+    fitted = ("nodes_",)
 
     def __init__(self, criterion="gini", max_features="auto", seed=0, splitter="best", max_depth=None):
         if criterion not in CRITERIA:
@@ -396,8 +399,6 @@ class DecisionTree:
         self.max_depth = max_depth
 
     def fit(self, X, y):
-        from .base import encode_training_data  # local import avoids a cycle
-
         X, codes, self.classes_ = encode_training_data(X, y)
         self.n_features_ = X.shape[1]
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(self.seed)))
@@ -413,11 +414,5 @@ class DecisionTree:
         )
         return self
 
-    def predict_codes(self, X) -> np.ndarray:
+    def _predict_codes(self, X):
         return tree_apply(self.nodes_, X).astype(np.int64)
-
-    def predict(self, X):
-        from .base import check_predict_input
-
-        X = check_predict_input(self, X)
-        return self.classes_[self.predict_codes(X)]

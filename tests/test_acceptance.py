@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 import yaml
 
-from radarml.cli import _GEN_KEY, _SCHEME_ORDER, main
-from radarml.config import build_plan, parse_config
+from radarml.cli import _GEN_KEY, main
+from radarml.config import SCHEMES, build_plan, parse_config
 from radarml.estimators.grids import KINDS, grid_size
 from radarml.estimators.neighbors import KNearestNeighbors
 from radarml.estimators.tree import DecisionTree, impurity
@@ -140,7 +140,7 @@ def _derived(config, scenario_id, scheme):
         config.scenarios[si],
         config.scheme_object(scheme),
         config.n_per_class,
-        derive_seed(config.seed, _GEN_KEY, si, _SCHEME_ORDER.index(scheme)),
+        derive_seed(config.seed, _GEN_KEY, si, SCHEMES.index(scheme)),
         reflectivity=config.target.reflectivity,
         jitter_sigma=config.target.jitter_sigma,
         min_range=config.target.min_range,

@@ -179,6 +179,21 @@ class TestGenerate:
         path.write_text(yaml.safe_dump({"n_per_clas": 10}))
         assert main(["generate", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (None, "cannot read config"),
+            ("seed: [unclosed", "cannot parse config"),
+            ("- seed\n- 1\n", "config: top level must be a mapping"),
+        ],
+    )
+    def test_unreadable_config_exit_code(self, text, message, tmp_path, capsys):
+        path = tmp_path / "cfg.yaml"
+        if text is not None:
+            path.write_text(text)
+        assert main(["generate", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+
 
 class TestRun:
     def test_missing_datasets_exit_code(self, cfg_path, tmp_path):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from radarml.estimators import linear
+from radarml.estimators.ensemble import GradientBoosting
 from radarml.estimators.linear import (
     LinearSVC,
     LogisticRegression,
@@ -198,7 +199,7 @@ class TestFitsSayHowTheyEnded:
         assert (model.n_iter_, model.converged_) == (3, False)
 
 
-@pytest.mark.parametrize("cls", [LogisticRegression, Perceptron, LinearSVC])
+@pytest.mark.parametrize("cls", [LogisticRegression, Perceptron, LinearSVC, GradientBoosting])
 class TestDecisionFunctionValidates:
     def test_one_row_as_a_vector_rejected(self, cls):
         X, y = blobs()

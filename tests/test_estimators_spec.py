@@ -1,52 +1,49 @@
+import inspect
+
 import numpy as np
 import pytest
 
-from radarml.estimators import (
-    ESTIMATOR_CLASSES,
-    KINDS,
-    EstimatorSpec,
-    fit_spec,
-    make_estimator,
-)
+from radarml.estimators import ESTIMATOR_CLASSES, GRID_AXES, KINDS
 from radarml.estimators.base import check_matrix, encode_training_data
 
 
-class TestEstimatorSpec:
-    def test_kind_checked_at_construction(self):
-        with pytest.raises(ValueError):
-            EstimatorSpec("svm_rbf")
-
-    def test_params_validated_and_normalized(self):
-        spec = EstimatorSpec("linear_svc", {"C": 10})
-        assert spec.params == {"C": 10.0}
-        with pytest.raises(ValueError):
-            EstimatorSpec("linear_svc", {"C": 42.0})
-
-    def test_describe(self):
-        assert EstimatorSpec("knn").describe() == "knn"
-        text = EstimatorSpec("random_forest", {"n_estimators": 64, "criterion": "gini"}).describe()
-        assert text == "random_forest(criterion=gini, n_estimators=64)"
-
-    def test_equal_specs_compare_equal(self):
-        assert EstimatorSpec("linear_svc", {"C": 1}) == EstimatorSpec("linear_svc", {"C": 1.0})
+def three_blobs():
+    rng = np.random.default_rng(1)
+    centers = ((-4.0, 0.0, 0.0), (4.0, 0.0, 0.0), (0.0, 6.0, 0.0))
+    X = np.concatenate([rng.normal(c, 0.6, size=(12, 3)) for c in centers])
+    return X, np.repeat(np.arange(3), 12)
 
 
-class TestFactory:
+class TestRegistry:
+    def test_registry_lists_every_kind_in_grid_order(self):
+        assert tuple(ESTIMATOR_CLASSES) == KINDS
+        assert all(cls.kind == kind for kind, cls in ESTIMATOR_CLASSES.items())
+
     @pytest.mark.parametrize("kind", KINDS)
-    def test_make_estimator_sets_seed(self, kind):
-        model = make_estimator(EstimatorSpec(kind), seed=11)
-        assert isinstance(model, ESTIMATOR_CLASSES[kind])
+    def test_constructor_sets_seed(self, kind):
+        model = ESTIMATOR_CLASSES[kind](seed=11)
         assert model.seed == 11
         assert model.kind == kind
 
-    def test_fit_spec_round_trip(self):
-        rng = np.random.default_rng(0)
-        X = rng.normal(size=(20, 3))
-        y = (X[:, 0] > 0).astype(int)
-        y[:2] = [0, 1]
-        model = fit_spec(EstimatorSpec("decision_tree"), X, y, seed=2)
-        assert hasattr(model, "classes_")
-        assert set(model.predict(X)) <= {0, 1}
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_constructor_takes_seed_and_every_grid_axis(self, kind):
+        params = inspect.signature(ESTIMATOR_CLASSES[kind]).parameters
+        assert {"seed", *(name for name, _ in GRID_AXES[kind])} <= set(params)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_predict_before_fit_rejected(self, kind):
+        with pytest.raises(ValueError, match="not fitted"):
+            ESTIMATOR_CLASSES[kind]().predict(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_fit_sets_exactly_the_declared_state(self, kind):
+        # a model file stores the constructor params and the declared state,
+        # so anything else a constructor or fit sets would be lost by it
+        cls = ESTIMATOR_CLASSES[kind]
+        unfitted = cls(seed=3)
+        assert set(vars(unfitted)) == set(inspect.signature(cls).parameters)
+        fitted = cls(seed=3).fit(*three_blobs())
+        assert set(vars(fitted)) - set(vars(unfitted)) == {"classes_", "n_features_", *cls.fitted}
 
 
 class TestBaseChecks:

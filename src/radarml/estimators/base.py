@@ -50,12 +50,35 @@ class Classifier:
 
     ``fit`` sets ``classes_``, ``n_features_`` and each attribute named in
     ``fitted``, which is all a saved model needs beyond its constructor
-    params. ``predict`` validates its input and maps the class codes of
-    ``_predict_codes`` to labels.
+    params. Every model is staged: ``_staged_codes`` yields the class codes
+    of ``n_stages`` fits, where stage s is what a fit with
+    ``staged_param`` = s would predict. A class without a ``staged_param``
+    has one stage, the codes of its ``_predict_codes``. ``fit_together``
+    fits several models, each on its own data, as their own ``fit`` would;
+    cross-validation fits its folds through it.
     """
 
     fitted = ()
+    staged_param = None
+
+    @property
+    def n_stages(self) -> int:
+        return 1 if self.staged_param is None else getattr(self, self.staged_param)
+
+    @staticmethod
+    def fit_together(models, Xs, ys):
+        for model, X, y in zip(models, Xs, ys):
+            model.fit(X, y)
+
+    def _staged_codes(self, X):
+        yield self._predict_codes(X)
+
+    def staged_predict(self, X):
+        """Labels after each of the ``n_stages`` stages; ``X`` is checked
+        before the first is computed."""
+        codes = self._staged_codes(check_predict_input(self, X))
+        return (self.classes_[c] for c in codes)
 
     def predict(self, X):
-        codes = self._predict_codes(check_predict_input(self, X))
-        return self.classes_[codes]
+        *_, labels = self.staged_predict(X)
+        return labels

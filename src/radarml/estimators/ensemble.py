@@ -101,8 +101,7 @@ class GradientBoosting(Classifier):
     kind = "gradient_boosting"
     fitted = ("init_scores_", "train_deviance_", "stages_")
     # An n-stage fit holds every smaller fit exactly and ignores the seed,
-    # so one fit per fold can score each n_estimators up to n, through
-    # ``staged_predict``.
+    # so one fit per fold can score each n_estimators up to n.
     staged_param = "n_estimators"
 
     def __init__(self, n_estimators=16, learning_rate=0.5, max_depth=3, seed=0):
@@ -153,7 +152,11 @@ class GradientBoosting(Classifier):
 
     def staged_decision_function(self, X):
         """Scores after each stage, as one array updated in place between
-        yields; the scores after stage s are those of an s-stage fit."""
+        yields; the scores after stage s are those of an s-stage fit.
+        ``X`` is checked before the first is computed."""
+        return self._staged_scores(check_predict_input(self, X))
+
+    def _staged_scores(self, X):
         F = np.tile(self.init_scores_, (X.shape[0], 1))
         for stage in self.stages_:
             for k, nodes in enumerate(stage):
@@ -161,16 +164,9 @@ class GradientBoosting(Classifier):
             yield F
 
     def decision_function(self, X):
-        *_, F = self.staged_decision_function(check_predict_input(self, X))
+        *_, F = self.staged_decision_function(X)
         return F
 
-    def _predict_codes(self, X):
-        *_, F = self.staged_decision_function(X)
-        return np.argmax(F, axis=1)
-
-    def staged_predict(self, X):
-        """Labels after each stage: entry s - 1 is what an s-stage fit
-        predicts, since growth ignores the seed and never looks ahead."""
-        X = check_predict_input(self, X)
-        for F in self.staged_decision_function(X):
-            yield self.classes_[np.argmax(F, axis=1)]
+    def _staged_codes(self, X):
+        for F in self._staged_scores(X):
+            yield np.argmax(F, axis=1)

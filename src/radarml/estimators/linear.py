@@ -363,6 +363,8 @@ class Perceptron(_LinearClassifier):
     def __init__(self, alpha=0.0001, lr=1.0, max_epochs=100, seed=0):
         if alpha < 0:
             raise ValueError("alpha must be nonnegative")
+        if lr * alpha > 1:
+            raise ValueError("lr * alpha must not exceed 1")
         self.alpha = float(alpha)
         self.lr = float(lr)
         self.max_epochs = int(max_epochs)
@@ -385,10 +387,7 @@ class Perceptron(_LinearClassifier):
         for model, X, y in zip(models, Xs, ys):
             X, codes, model.classes_ = encode_training_data(X, y)
             model.n_features_ = X.shape[1]
-            decay = 1.0 - model.lr * model.alpha
-            if decay < 0:
-                raise ValueError("lr * alpha must not exceed 1")
-            key = (len(model.classes_), X.shape[1], model.lr, decay)
+            key = (len(model.classes_), X.shape[1], model.lr, 1.0 - model.lr * model.alpha)
             groups.setdefault(key, []).append((model, X, codes))
         for (_, _, lr, decay), fits in groups.items():
             _perceptron_lockstep(fits, lr, decay)

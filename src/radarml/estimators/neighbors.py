@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import Classifier, check_predict_input, encode_training_data
+from .base import Classifier, encode_training_data
 
 # Elements of the (rows, n_train, n_features) difference temporary per
 # distance block: 1 MB of float64, so a block stays in cache (at least one
@@ -29,7 +29,7 @@ class KNearestNeighbors(Classifier):
     kind = "knn"
     fitted = ("_X", "_codes")
     # The k nearest neighbors are the first k of one stable sort, so one fit
-    # scores every n_neighbors up to its own, through ``staged_predict``.
+    # scores every n_neighbors up to its own.
     staged_param = "n_neighbors"
 
     def __init__(self, n_neighbors=1, seed=0):
@@ -49,9 +49,9 @@ class KNearestNeighbors(Classifier):
         self.n_features_ = X.shape[1]
         return self
 
-    def _staged_codes(self, X) -> np.ndarray:
-        """Class codes, (rows, n_neighbors): column k - 1 is the vote of the
-        k nearest neighbors, whose ties go to the smallest code."""
+    def _staged_codes(self, X):
+        """Class codes for each k up to n_neighbors: the vote of the k
+        nearest neighbors, whose ties go to the smallest code."""
         k = self.n_neighbors
         classes = np.arange(len(self.classes_))
         out = np.empty((X.shape[0], k), dtype=np.int64)
@@ -64,14 +64,4 @@ class KNearestNeighbors(Classifier):
             # votes[i, j, c]: neighbors among the j + 1 nearest in class c
             votes = np.cumsum(self._codes[nearest][:, :, None] == classes, axis=1)
             out[start : start + rows] = np.argmax(votes, axis=2)
-        return out
-
-    def staged_predict(self, X):
-        """Labels for each k: entry k - 1 is what a k-neighbor fit predicts."""
-        X = check_predict_input(self, X)
-        codes = self._staged_codes(X)
-        for k in range(self.n_neighbors):
-            yield self.classes_[codes[:, k]]
-
-    def _predict_codes(self, X):
-        return self._staged_codes(X)[:, -1]
+        yield from out.T

@@ -130,48 +130,37 @@ def select_best(candidates) -> int:
 
 
 def cross_val_scores(kind, params, X, y, folds, seed=0, stages=None):
-    """Accuracy (percent) on each fold's validation split.
+    """Accuracy (percent) on each fold's validation split, one tuple per stage.
 
-    With ``stages``, values of the class's ``staged_param`` no larger than
-    the one in ``params``, each fold's model is fit once and scored after
-    each of those stages; the result is then one tuple per entry of
-    ``stages``, in its order. A class that declares ``fit_together``
-    fits all folds in one call, each with its own seed.
+    Each fold's model is fit once, through the class's ``fit_together`` and
+    with the fold's own seed, and scored at each entry of ``stages``: stage
+    numbers of its ``staged_predict``, by default only the last,
+    ``n_stages``. The tuples come in the order of ``stages``.
     """
     cls = ESTIMATOR_CLASSES[kind]
     models = [cls(**params, seed=derive_seed(seed, fi)) for fi in range(len(folds))]
-    fit_together = getattr(cls, "fit_together", None)
-    if fit_together is not None:
-        fit_together(models, [X[tr] for tr, _ in folds], [y[tr] for tr, _ in folds])
-    per_fold = []
-    for model, (tr, va) in zip(models, folds):
-        if fit_together is None:
-            model.fit(X[tr], y[tr])
-        if stages is None:
-            per_fold.append(accuracy_percent(y[va], model.predict(X[va])))
-        else:
-            staged = list(model.staged_predict(X[va]))
-            per_fold.append([accuracy_percent(y[va], staged[s - 1]) for s in stages])
+    cls.fit_together(models, [X[tr] for tr, _ in folds], [y[tr] for tr, _ in folds])
     if stages is None:
-        return tuple(per_fold)
+        stages = [cls(**params).n_stages]
+    per_fold = []
+    for model, (_, va) in zip(models, folds):
+        staged = list(model.staged_predict(X[va]))
+        per_fold.append([accuracy_percent(y[va], staged[s - 1]) for s in stages])
     return [tuple(scores) for scores in zip(*per_fold)]
 
 
 def _shared_fits(cls, candidates):
     """Candidates grouped by the one fit per fold that scores them all.
 
-    Each group lists (candidate index, stage) pairs. A class that declares
-    ``staged_param`` shares a fit among candidates that differ only in
-    that parameter, with the stage being its value and the largest, the
-    one to fit, last. Any other class fits each candidate, stage None.
+    Candidates that differ only in the class's ``staged_param`` share a
+    fit. Each group lists (candidate index, stage) pairs, the stage being
+    the candidate's ``n_stages``, with the largest, the one to fit, last.
+    A class without a ``staged_param`` fits each distinct candidate.
     """
-    staged = getattr(cls, "staged_param", None)
-    if staged is None:
-        return [[(ci, None)] for ci in range(len(candidates))]
     groups = {}
     for ci, params in enumerate(candidates):
-        rest = tuple(sorted((k, v) for k, v in params.items() if k != staged))
-        groups.setdefault(rest, []).append((getattr(cls(**params), staged), ci))
+        rest = tuple(sorted((k, v) for k, v in params.items() if k != cls.staged_param))
+        groups.setdefault(rest, []).append((cls(**params).n_stages, ci))
     return [[(ci, stage) for stage, ci in sorted(group)] for group in groups.values()]
 
 
@@ -189,8 +178,8 @@ class GridSearchResult:
 def grid_search(kind, X, y, folds, seed=0, candidates=None) -> GridSearchResult:
     """Score every candidate by CV and pick the max-min-fold winner.
 
-    Candidates of a class that declares ``staged_param`` and differ only
-    in it are scored from one fit per fold, at their largest value.
+    Each group of ``_shared_fits`` is scored from one fit per fold, of its
+    last candidate and with that candidate's seed.
     """
     if kind not in ESTIMATOR_CLASSES:
         raise ValueError(f"unknown estimator kind {kind!r}")
@@ -202,14 +191,11 @@ def grid_search(kind, X, y, folds, seed=0, candidates=None) -> GridSearchResult:
         raise ValueError("candidate list is empty")
     fold_scores = {}
     for group in _shared_fits(ESTIMATOR_CLASSES[kind], candidates):
-        top, stage = group[-1]
+        indices, stages = zip(*group)
+        top = indices[-1]
         cv_seed = derive_seed(seed, top)
-        if stage is None:
-            fold_scores[top] = cross_val_scores(kind, candidates[top], X, y, folds, seed=cv_seed)
-        else:
-            stages = [s for _, s in group]
-            per_stage = cross_val_scores(kind, candidates[top], X, y, folds, seed=cv_seed, stages=stages)
-            fold_scores.update(zip([ci for ci, _ in group], per_stage))
+        per_stage = cross_val_scores(kind, candidates[top], X, y, folds, cv_seed, stages)
+        fold_scores.update(zip(indices, per_stage))
     scored = [CandidateScore(params, fold_scores[ci]) for ci, params in enumerate(candidates)]
     return GridSearchResult(kind=kind, candidates=scored, best_index=select_best(scored))
 

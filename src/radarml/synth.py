@@ -25,7 +25,6 @@ from .labeling import (
     Grid10Scheme,
     LabelScheme,
     Simple4Scheme,
-    label_of,
 )
 from .seeding import make_rng, seed_sequence
 

@@ -119,8 +119,11 @@ class TestPerceptron:
             Perceptron(alpha=-0.1)
 
     def test_excessive_decay_rejected(self):
-        with pytest.raises(ValueError):
-            Perceptron(alpha=2.0, lr=1.0).fit(*blobs())
+        # by the constructor, so no fit can set classes_ and then reject
+        # its model, which would leave it half fitted
+        for alpha, lr in ((2.0, 1.0), (0.6, 2.0)):
+            with pytest.raises(ValueError, match=r"lr \* alpha must not exceed 1"):
+                Perceptron(alpha=alpha, lr=lr)
 
 
 class TestLinearSVC:
@@ -199,30 +202,42 @@ class TestFitsSayHowTheyEnded:
         assert (model.n_iter_, model.converged_) == (3, False)
 
 
+def scorers(model):
+    """``decision_function``, and ``staged_decision_function`` where a
+    class has one: both must check ``X`` when called."""
+    yield model.decision_function
+    if hasattr(model, "staged_decision_function"):
+        yield model.staged_decision_function
+
+
 @pytest.mark.parametrize("cls", [LogisticRegression, Perceptron, LinearSVC, GradientBoosting])
 class TestDecisionFunctionValidates:
     def test_one_row_as_a_vector_rejected(self, cls):
         X, y = blobs()
         model = cls().fit(X, y)
-        with pytest.raises(ValueError, match="2-D"):
-            model.decision_function(X[0])
+        for score in scorers(model):
+            with pytest.raises(ValueError, match="2-D"):
+                score(X[0])
 
     def test_nan_rows_rejected(self, cls):
         X, y = blobs()
         model = cls().fit(X, y)
         bad = X[:3].copy()
         bad[1, 0] = np.nan
-        with pytest.raises(ValueError, match="non-finite"):
-            model.decision_function(bad)
+        for score in scorers(model):
+            with pytest.raises(ValueError, match="non-finite"):
+                score(bad)
         with pytest.raises(ValueError, match="non-finite"):
             model.predict(bad)
 
     def test_unfitted_rejected(self, cls):
-        with pytest.raises(ValueError, match="not fitted"):
-            cls().decision_function(np.zeros((2, 2)))
+        for score in scorers(cls()):
+            with pytest.raises(ValueError, match="not fitted"):
+                score(np.zeros((2, 2)))
 
     def test_wrong_width_rejected(self, cls):
         X, y = blobs()
         model = cls().fit(X, y)
-        with pytest.raises(ValueError, match="expected 2 features"):
-            model.decision_function(np.zeros((2, 3)))
+        for score in scorers(model):
+            with pytest.raises(ValueError, match="expected 2 features"):
+                score(np.zeros((2, 3)))

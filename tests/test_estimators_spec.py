@@ -3,8 +3,10 @@ import inspect
 import numpy as np
 import pytest
 
-from radarml.estimators import ESTIMATOR_CLASSES, GRID_AXES, KINDS
+from radarml.estimators import ESTIMATOR_CLASSES, GRID_AXES, KINDS, accuracy_percent
 from radarml.estimators.base import check_matrix, encode_training_data
+from radarml.modelsel import cross_val_scores, stratified_kfold
+from radarml.seeding import derive_seed
 
 
 def three_blobs():
@@ -12,6 +14,19 @@ def three_blobs():
     centers = ((-4.0, 0.0, 0.0), (4.0, 0.0, 0.0), (0.0, 6.0, 0.0))
     X = np.concatenate([rng.normal(c, 0.6, size=(12, 3)) for c in centers])
     return X, np.repeat(np.arange(3), 12)
+
+
+def overlapping_blobs():
+    # close enough that fits err and differ by kind, seed and fold
+    rng = np.random.default_rng(2)
+    centers = ((-1.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0), (0.0, 1.5, 0.0, 0.0))
+    X = np.concatenate([rng.normal(c, 1.0, size=(15, 4)) for c in centers])
+    return X, np.repeat([10, 20, 30], 15)
+
+
+def multi_stage(cls):
+    """A model of ``cls`` with more than one stage, where its class has them."""
+    return cls(seed=3) if cls.staged_param is None else cls(**{cls.staged_param: 5}, seed=3)
 
 
 class TestRegistry:
@@ -44,6 +59,42 @@ class TestRegistry:
         assert set(vars(unfitted)) == set(inspect.signature(cls).parameters)
         fitted = cls(seed=3).fit(*three_blobs())
         assert set(vars(fitted)) - set(vars(unfitted)) == {"classes_", "n_features_", *cls.fitted}
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_staged_predict_ends_at_predict(self, kind):
+        X, y = overlapping_blobs()
+        model = multi_stage(ESTIMATOR_CLASSES[kind]).fit(X, y)
+        staged = list(model.staged_predict(X))
+        assert len(staged) == model.n_stages == (1 if model.staged_param is None else 5)
+        assert all(labels.shape == y.shape and set(labels) <= set(y) for labels in staged)
+        np.testing.assert_array_equal(staged[-1], model.predict(X))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_staged_predict_checks_its_input_when_called(self, kind):
+        cls = ESTIMATOR_CLASSES[kind]
+        X, y = overlapping_blobs()
+        with pytest.raises(ValueError, match="not fitted"):
+            multi_stage(cls).staged_predict(X)
+        model = multi_stage(cls).fit(X, y)
+        bad = X[:3].copy()
+        bad[1, 2] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            model.staged_predict(bad)
+        with pytest.raises(ValueError, match="expected 4 features"):
+            model.staged_predict(X[:, :3])
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_cross_val_scores_is_a_lone_fit_per_fold(self, kind):
+        # the classes without a fit_together of their own fit their folds
+        # through the default one
+        X, y = overlapping_blobs()
+        folds = stratified_kfold(y, 3, seed=4)
+        cls = ESTIMATOR_CLASSES[kind]
+        want = []
+        for fi, (tr, va) in enumerate(folds):
+            model = cls(seed=derive_seed(9, fi)).fit(X[tr], y[tr])
+            want.append(accuracy_percent(y[va], model.predict(X[va])))
+        assert cross_val_scores(kind, {}, X, y, folds, seed=9) == [tuple(want)]
 
 
 class TestBaseChecks:

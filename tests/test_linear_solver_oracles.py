@@ -183,4 +183,4 @@ class TestPerceptronMatchesOracle:
                 assert same_bytes(model, W, b)
                 want.append(accuracy_percent(y[va], model.predict(X[va])))
             assert result.candidates[ci].scores == tuple(want)
-            assert cross_val_scores("perceptron", params, X, y, folds, seed=cv_seed) == tuple(want)
+            assert cross_val_scores("perceptron", params, X, y, folds, seed=cv_seed) == [tuple(want)]

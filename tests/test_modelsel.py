@@ -133,7 +133,7 @@ class TestCrossValScores:
         y = np.repeat([0, 1, 2], 20)
         X = features_for(y, jitter=0.1)
         folds = stratified_kfold(y, 5, seed=0)
-        scores = cross_val_scores("knn", {"n_neighbors": 1}, X, y, folds, seed=0)
+        (scores,) = cross_val_scores("knn", {"n_neighbors": 1}, X, y, folds, seed=0)
         assert len(scores) == 5
         assert scores == (100.0,) * 5
 
@@ -172,7 +172,7 @@ class TestStagedGridSearch:
         candidates = [{"n_estimators": n, "learning_rate": lr} for n in counts for lr in (0.5, 1.0)]
         result = grid_search("gradient_boosting", X, y, folds, seed=7, candidates=candidates)
         expected = [
-            CandidateScore(p, cross_val_scores("gradient_boosting", p, X, y, folds, seed=derive_seed(7, ci)))
+            CandidateScore(p, *cross_val_scores("gradient_boosting", p, X, y, folds, seed=derive_seed(7, ci)))
             for ci, p in enumerate(candidates)
         ]
         assert result.candidates == expected
@@ -189,7 +189,7 @@ class TestStagedKnnSearch:
         candidates = [{"n_neighbors": k} for k in range(1, 31)]
         result = grid_search("knn", X, y, folds, seed=5, candidates=candidates)
         expected = [
-            CandidateScore(p, cross_val_scores("knn", p, X, y, folds, seed=derive_seed(5, ci)))
+            CandidateScore(p, *cross_val_scores("knn", p, X, y, folds, seed=derive_seed(5, ci)))
             for ci, p in enumerate(candidates)
         ]
         assert result.candidates == expected

@@ -84,8 +84,9 @@ def _entry_keys(config: ExperimentConfig, entry):
     return si, schi, dti
 
 
-def _sidecar(ds: LabeledDataset, entry, config: ExperimentConfig, role, counterpart):
-    counts = np.bincount(ds.labels, minlength=N_CLASSES[ds.scheme])
+def _sidecar(ds: LabeledDataset, rows, entry, config: ExperimentConfig, role, counterpart):
+    """YAML record of the part of ``ds`` that ``rows`` picks."""
+    counts = np.bincount(ds.labels[rows], minlength=N_CLASSES[ds.scheme])
     meta = {
         "format": "RDS1",
         "version": 1,
@@ -94,9 +95,10 @@ def _sidecar(ds: LabeledDataset, entry, config: ExperimentConfig, role, counterp
         "counterpart": counterpart,
         "scheme": ds.scheme,
         "data_type": ds.data_type,
-        "n_examples": int(ds.n_examples),
+        "n_examples": len(rows),
         "n_bins": int(ds.n_bins),
-        "n_dropped": int(ds.n_dropped),
+        # a part counts no drops of its own (the derivation's are not recorded)
+        "n_dropped": 0,
         "class_counts": {int(c): int(n) for c, n in enumerate(counts)},
         "scenario": dataclasses.asdict(entry.scenario),
         "target": dataclasses.asdict(config.target),
@@ -130,12 +132,12 @@ def _generate_group(config: ExperimentConfig, keys, members, out_dir):
         tr_idx, te_idx = stratified_split(derived.labels, config.train_fraction, split_seed)
         train_path, test_path = _dataset_paths(out_dir, entry.dataset_id)
         os.makedirs(os.path.dirname(train_path), exist_ok=True)
-        for ds_part, path, role, other in (
-            (derived.take(tr_idx), train_path, "train", os.path.basename(test_path)),
-            (derived.take(te_idx), test_path, "test", os.path.basename(train_path)),
+        for rows, path, role, other in (
+            (tr_idx, train_path, "train", os.path.basename(test_path)),
+            (te_idx, test_path, "test", os.path.basename(train_path)),
         ):
-            save_dataset(ds_part, path)
-            write_atomic(path + ".meta.yaml", _sidecar(ds_part, entry, config, role, other))
+            save_dataset(derived, path, rows)
+            write_atomic(path + ".meta.yaml", _sidecar(derived, rows, entry, config, role, other))
             written.append(path)
     return written
 

@@ -39,6 +39,9 @@ FORMAT_VERSION = 1
 
 DATA_TYPES = ("raw", "baseband", "motion_filtered")
 
+# Scan elements gathered per block when a file is written: 256 KB of float64.
+_WRITE_BLOCK_ELEMENTS = 1 << 15
+
 
 class DatasetFormatError(ValueError):
     """Raised when a dataset file does not match the documented layout."""
@@ -94,19 +97,6 @@ class LabeledDataset:
         if thin.size:
             raise ValueError(f"class {thin[0]} has fewer than 2 examples; stratification needs 2")
 
-    def take(self, indices: np.ndarray) -> "LabeledDataset":
-        """Row subset preserving metadata (history rows follow along)."""
-        indices = np.asarray(indices)
-        return LabeledDataset(
-            scans=self.scans[indices],
-            labels=self.labels[indices],
-            scheme=self.scheme,
-            data_type=self.data_type,
-            scenario_id=self.scenario_id,
-            history=None if self.history is None else self.history[indices],
-            n_dropped=0,
-        )
-
 
 def _pack_str(s: str) -> bytes:
     raw = s.encode("utf-8")
@@ -130,18 +120,22 @@ def _unpack_str(fh) -> str:
         raise DatasetFormatError(f"header string is not UTF-8: {exc}") from None
 
 
-def write_dataset(ds: LabeledDataset, fh) -> None:
+def write_dataset(ds: LabeledDataset, fh, rows=None) -> None:
     """Write the documented binary layout to a binary file (history is
-    not stored). The scan and label buffers go to ``fh`` as they are, so
-    no copy of the file is built in memory."""
+    not stored). ``rows`` writes only those examples, in that order.
+    Scans go to ``fh`` a block of rows at a time, so no copy of the file
+    or of the subset is built in memory."""
+    rows = np.arange(ds.n_examples) if rows is None else np.asarray(rows)
     fh.write(MAGIC)
     fh.write(struct.pack("<I", FORMAT_VERSION))
-    fh.write(struct.pack("<QQ", ds.n_examples, ds.n_bins))
+    fh.write(struct.pack("<QQ", rows.size, ds.n_bins))
     fh.write(_pack_str(ds.scheme))
     fh.write(_pack_str(ds.data_type))
     fh.write(_pack_str(ds.scenario_id))
-    fh.write(np.ascontiguousarray(ds.scans, dtype="<f8"))
-    fh.write(np.ascontiguousarray(ds.labels, dtype="<i8"))
+    step = max(1, _WRITE_BLOCK_ELEMENTS // max(1, ds.n_bins))
+    for start in range(0, rows.size, step):
+        fh.write(np.ascontiguousarray(ds.scans[rows[start : start + step]], dtype="<f8"))
+    fh.write(np.ascontiguousarray(ds.labels[rows], dtype="<i8"))
 
 
 def dataset_from_bytes(buf: bytes) -> LabeledDataset:
@@ -186,9 +180,9 @@ def write_atomic(path: str, data: bytes) -> None:
         fh.write(data)
 
 
-def save_dataset(ds: LabeledDataset, path: str) -> None:
+def save_dataset(ds: LabeledDataset, path: str, rows=None) -> None:
     with _atomic_file(path) as fh:
-        write_dataset(ds, fh)
+        write_dataset(ds, fh, rows)
 
 
 def load_dataset(path: str) -> LabeledDataset:

@@ -133,7 +133,7 @@ class GradientBoosting(Classifier):
         self.init_scores_ = np.log(priors)
         F = np.tile(self.init_scores_, (n, 1))
         deviances = [self._deviance(F, codes)]
-        order, values = presort(X)
+        sorted_x = presort(X)
         self.stages_ = []
         for _ in range(self.n_estimators):
             Z = F - F.max(axis=1, keepdims=True)
@@ -142,7 +142,7 @@ class GradientBoosting(Classifier):
             residual = Y - P
             stage = []
             for k in range(K):
-                nodes, leaf = grow_regression(order, values, residual[:, k], self.max_depth)
+                nodes, leaf = grow_regression(sorted_x, residual[:, k], self.max_depth)
                 F[:, k] += self.learning_rate * nodes.value[leaf]
                 stage.append(nodes)
             self.stages_.append(stage)

@@ -268,79 +268,107 @@ def grow_classification(
     return builder.freeze()
 
 
-def presort(X):
-    """Feature-major stable sort of ``X`` for ``grow_regression``.
+@dataclass
+class Presorted:
+    """``presort`` output: one training matrix and its per-feature order,
+    plus the workspace every node of every tree grown on it reuses."""
 
-    Returns (order, values), both (d, n): ``order[f]`` lists the rows by
-    ascending ``X[:, f]``, ties by row index, and ``values[f]`` holds
-    ``X[order[f], f]``.
+    X: np.ndarray  # (n, d) training matrix
+    order: np.ndarray  # (d, n): order[f] lists the rows by ascending X[:, f], ties by row
+    tied: np.ndarray  # the features holding two equal values, ascending
+    sums: np.ndarray  # (n, d) scratch: a node's prefix sums, then its gains
+    right: np.ndarray  # (n, d) scratch: a node's right-child terms
+
+
+def presort(X) -> Presorted:
+    """Stable sort of every column of ``X``, once per fit.
+
+    Also finds the features with ties: only their adjacent sorted pairs
+    can be equal, so only they need a tie mask in a node's split search.
     """
     XT = X.T
     order = np.argsort(XT, axis=1, kind="stable")
-    return order, np.take_along_axis(XT, order, axis=1)
+    values = np.take_along_axis(XT, order, axis=1)
+    tied = np.flatnonzero((values[:, 1:] == values[:, :-1]).any(axis=1))
+    return Presorted(X, order, tied, np.empty(X.shape), np.empty(X.shape))
 
 
-def best_split_regression(order, values, targets):
+def best_split_regression(sorted_x, order, targets):
     """Exhaustive SSE-minimizing split of one node; None when nothing improves.
 
-    ``order`` and ``values`` are the node's rows of ``presort`` output,
-    one row per feature; ``targets`` is indexed by ``order``. Returns
-    (feature, threshold, gain).
+    ``order`` is the node's part of ``sorted_x.order``, one row per
+    feature; ``targets`` is indexed by it. The arithmetic runs in the
+    workspace of ``sorted_x``. Returns (feature, threshold, gain, n_left):
+    the first ``n_left`` rows of ``order[feature]`` go left. Exact ties
+    go to the lowest feature, then the lowest threshold.
     """
     m = order.shape[1]
     if m < 2:
         return None
-    # Sequential prefix sums; the total is their last element, which is
-    # the row-by-row sum of the original (n, d) layout to the last bit.
-    csum = np.cumsum(targets[order], axis=1)
-    tot = csum[:, -1:]
-    csum = csum[:, :-1]
-    nl = np.arange(1, m, dtype=np.float64)
+    # Sample-major prefix sums by row adds: the same sequential rounding
+    # as a cumsum per feature, without its one dependent chain per column.
+    sums = sorted_x.sums[:m]
+    sums[...] = targets[order.T]
+    prev = sums[0]
+    for row in sums[1:]:
+        row += prev
+        prev = row
+    tot = sums[-1]
+    csum = sums[:-1]
+    nl = np.arange(1, m, dtype=np.float64)[:, None]
     # score = csum**2 / nl + (tot - csum)**2 / nr, to maximize; computed
     # in place, which rounds the same as the expression
-    right = tot - csum
+    right = np.subtract(tot, csum, out=sorted_x.right[: m - 1])
     right *= right
     right /= m - nl
-    gain = csum * csum
+    gain = csum
+    gain *= gain
     gain /= nl
     gain += right
     parent = tot**2 / m
     gain -= parent
-    # sorted values, so a pair that does not increase is a tie
-    np.copyto(gain, -np.inf, where=values[:, 1:] == values[:, :-1])
-    flat = gain.reshape(-1)  # feature-major so argmax ties pick the lowest feature
-    j = int(np.argmax(flat))
-    best = float(flat[j])
+    tied = sorted_x.tied
+    if tied.size:
+        # sorted values, so a pair that does not increase is a tie
+        values = sorted_x.X[order[tied], tied[:, None]]
+        gain[:, tied] = np.where((values[:, 1:] == values[:, :-1]).T, -np.inf, gain[:, tied])
+    # lowest feature, then lowest position, among the maxima
+    best_by_feature = gain.max(axis=0)
+    fi = int(np.argmax(best_by_feature))
+    best = float(best_by_feature[fi])
     if not np.isfinite(best) or best <= _REG_GAIN_ATOL * max(1.0, float(np.abs(parent).max())):
         return None
-    fi, pos = divmod(j, m - 1)
-    return fi, _midpoint(values[fi, pos], values[fi, pos + 1]), best
+    pos = int(np.argmax(gain[:, fi]))
+    # a tied pair never wins, so the values at pos and pos + 1 increase
+    # strictly and exactly the rows up to pos lie at or below the midpoint
+    X = sorted_x.X
+    return fi, _midpoint(X[order[fi, pos], fi], X[order[fi, pos + 1], fi]), best, pos + 1
 
 
-def grow_regression(order, values, targets, max_depth):
+def grow_regression(sorted_x, targets, max_depth):
     """Mean-leaf regression tree, exhaustive splits over all features.
 
-    ``order`` and ``values`` come from ``presort`` of the training matrix
-    and are carried down by stable partition, so each node's rows stay in
-    the stable sorted order a per-node sort would give. Returns the tree
-    and each training row's leaf index.
+    ``sorted_x`` is ``presort`` of the training matrix. Only its
+    ``order`` is carried down, by stable partition, so each node's rows
+    stay in the stable sorted order a per-node sort would give; split
+    thresholds are read from ``sorted_x.X``. Returns the tree and each
+    training row's leaf index.
     """
     n = targets.size
     leaf = np.empty(n, dtype=np.int64)
     builder = _TreeBuilder()
     root = builder.add()
-    stack = [(np.arange(n), order, values, 0, root)]
+    stack = [(np.arange(n), sorted_x.order, 0, root)]
     while stack:
-        idx, order, values, depth, node = stack.pop()
-        builder.value[node] = float(targets[idx].mean())
+        idx, order, depth, node = stack.pop()
+        builder.value[node] = float(targets[idx].sum() / idx.size)  # np.mean's bits, not its overhead
         leaf[idx] = node  # a split overwrites this with the children's
         if idx.size < 2 or depth >= max_depth:
             continue
-        found = best_split_regression(order, values, targets)
+        found = best_split_regression(sorted_x, order, targets)
         if found is None:
             continue
-        feat, thr, _ = found
-        n_left = int(np.searchsorted(values[feat], thr, side="right"))
+        feat, thr, _, n_left = found
         go_left = np.zeros(n, dtype=bool)
         go_left[order[feat, :n_left]] = True
         left_node = builder.add()
@@ -354,14 +382,11 @@ def grow_regression(order, values, targets, max_depth):
         for side, child in ((False, right_node), (True, left_node)):
             rows = idx[go_left[idx] == side]
             if order_left is None:
-                stack.append((rows, None, None, depth + 1, child))
+                stack.append((rows, None, depth + 1, child))
                 continue
             # flat positions, row by row, so each feature keeps its order
             keep = np.flatnonzero(order_left == side)
-            shape = (order.shape[0], rows.size)
-            stack.append(
-                (rows, order.take(keep).reshape(shape), values.take(keep).reshape(shape), depth + 1, child)
-            )
+            stack.append((rows, order.take(keep).reshape(order.shape[0], rows.size), depth + 1, child))
     return builder.freeze(), leaf
 
 

@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+from radarml import dataset
 from radarml.dataset import (
     MAGIC,
     DatasetFormatError,
@@ -81,16 +82,6 @@ class TestContainer:
             LabeledDataset(bad, np.zeros(2, dtype=int), "simple4", "raw", "x")
         with pytest.raises(ValueError):
             LabeledDataset(np.zeros((2, 4)), np.zeros(2, dtype=int), "simple4", "fft", "x")
-
-    def test_take_subsets_and_resets_drop_count(self):
-        ds = small_dataset()
-        ds.n_dropped = 3
-        sub = ds.take(np.array([4, 0, 2]))
-        np.testing.assert_array_equal(sub.scans, ds.scans[[4, 0, 2]])
-        assert sub.labels.tolist() == ds.labels[[4, 0, 2]].tolist()
-        np.testing.assert_array_equal(sub.history, ds.history[[4, 0, 2]])
-        assert sub.n_dropped == 0
-        assert sub.scheme == ds.scheme
 
 
 class TestValidateLabels:
@@ -189,6 +180,18 @@ class TestFiles:
         with open(path, "rb") as fh:
             assert fh.read() == documented_layout(ds)
         assert os.listdir(tmp_path) == ["d.rds"]
+
+    @pytest.mark.parametrize("block_elements", [1, 48, 1 << 15])
+    def test_saving_rows_writes_that_subset(self, tmp_path, monkeypatch, block_elements):
+        # blocks of one row, of three rows (16 bins), and of all of them
+        monkeypatch.setattr(dataset, "_WRITE_BLOCK_ELEMENTS", block_elements)
+        ds = small_dataset(n=12)
+        rows = np.array([9, 0, 4, 4, 11, 2, 7])
+        path = str(tmp_path / "d.rds")
+        save_dataset(ds, path, rows)
+        part = LabeledDataset(ds.scans[rows], ds.labels[rows], ds.scheme, ds.data_type, ds.scenario_id)
+        with open(path, "rb") as fh:
+            assert fh.read() == documented_layout(part)
 
     def test_load_names_the_corrupt_file(self, tmp_path):
         path = str(tmp_path / "d.rds")

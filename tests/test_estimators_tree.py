@@ -258,24 +258,25 @@ class TestRegressionTree:
     def test_step_function_recovered(self):
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
         g = np.array([-1.0, -1.0, 2.0, 2.0])
-        nodes, _ = grow_regression(*presort(X), g, max_depth=3)
+        nodes, _ = grow_regression(presort(X), g, max_depth=3)
         assert as_nested(nodes) == (0, 1.5, ("leaf", -1.0), ("leaf", 2.0))
         np.testing.assert_array_equal(tree_apply(nodes, X), g)
 
     def test_constant_targets_stay_a_leaf(self):
         X = np.arange(8.0).reshape(-1, 1)
-        nodes, _ = grow_regression(*presort(X), np.full(8, 5.0), max_depth=3)
+        nodes, _ = grow_regression(presort(X), np.full(8, 5.0), max_depth=3)
         assert nodes.n_nodes == 1
         assert nodes.value[0] == 5.0
 
     def test_no_split_returns_none_on_constant_targets(self):
         X = np.arange(6.0).reshape(-1, 1)
-        assert best_split_regression(*presort(X), np.ones(6)) is None
+        sorted_x = presort(X)
+        assert best_split_regression(sorted_x, sorted_x.order, np.ones(6)) is None
 
     def test_depth_zero_is_global_mean(self):
         X = np.arange(10.0).reshape(-1, 1)
         g = np.arange(10.0)
-        nodes, _ = grow_regression(*presort(X), g, max_depth=0)
+        nodes, _ = grow_regression(presort(X), g, max_depth=0)
         assert nodes.n_nodes == 1
         assert nodes.value[0] == pytest.approx(4.5)
 
@@ -283,7 +284,7 @@ class TestRegressionTree:
         rng = np.random.default_rng(5)
         X = rng.normal(size=(40, 3))
         g = rng.normal(size=40)
-        nodes, _ = grow_regression(*presort(X), g, max_depth=2)
+        nodes, _ = grow_regression(presort(X), g, max_depth=2)
         pred = tree_apply(nodes, X)
         for leaf in np.unique(pred):
             members = g[pred == leaf]
@@ -295,7 +296,7 @@ class TestRegressionTree:
         a = 1.0
         X = np.array([[a], [np.nextafter(a, 2.0)], [a]])
         g = np.array([0.0, 1.0, 0.0])
-        nodes, leaf = grow_regression(*presort(X), g, max_depth=1)
+        nodes, leaf = grow_regression(presort(X), g, max_depth=1)
         assert as_nested(nodes) == (0, a, ("leaf", 0.0), ("leaf", 1.0))
         assert np.array_equal(nodes.value[leaf], tree_apply(nodes, X))
 
@@ -307,7 +308,7 @@ class TestRegressionTree:
         g = np.array([0.0, 1.0, 1.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            nodes, leaf = grow_regression(*presort(X), g, max_depth=2)
+            nodes, leaf = grow_regression(presort(X), g, max_depth=2)
         assert as_nested(nodes) == (0, a, ("leaf", 0.0), ("leaf", 1.0))
         assert leaf.tolist() == [1, 2, 2]
 
@@ -319,7 +320,7 @@ class TestRegressionTree:
         if discrete:
             X = np.round(X)
         g = rng.normal(size=50)
-        nodes, leaf = grow_regression(*presort(X), g, max_depth=3)
+        nodes, leaf = grow_regression(presort(X), g, max_depth=3)
         assert np.array_equal(nodes.value[leaf], tree_apply(nodes, X))
         assert np.all(nodes.feature[leaf] == -1)
 
@@ -375,7 +376,7 @@ class TestRegressionStructureVsBruteForce:
         rng = np.random.default_rng(200 + seed)
         X = rng.integers(0, levels, size=(n, d)).astype(np.float64)
         g = rng.integers(-4, 5, size=n) / 4.0
-        nodes, _ = grow_regression(*presort(X), g, max_depth=max_depth)
+        nodes, _ = grow_regression(presort(X), g, max_depth=max_depth)
         assert as_nested(nodes) == oracle_grow_regression(X, g, max_depth)
 
     def test_duplicate_columns_pick_the_lowest_feature(self):
@@ -383,6 +384,6 @@ class TestRegressionStructureVsBruteForce:
         col = rng.integers(0, 3, size=20).astype(np.float64)
         X = np.column_stack([np.zeros(20), col, col])
         g = rng.integers(-4, 5, size=20) / 4.0
-        nodes, _ = grow_regression(*presort(X), g, max_depth=2)
+        nodes, _ = grow_regression(presort(X), g, max_depth=2)
         assert as_nested(nodes) == oracle_grow_regression(X, g, 2)
         assert nodes.feature[0] == 1

@@ -1,0 +1,68 @@
+"""The benchmark tracer's hold on the package: every name it wraps exists,
+its wrappers see the calls, and uninstalling puts every original back.
+
+``benchmarks/tracing.py`` swaps module globals and estimator methods by
+name, so a rename under ``src/`` would otherwise surface only as a broken
+``benchmarks/run.py --trace 1`` run.
+"""
+
+import importlib.util
+import os
+
+import numpy as np
+import pytest
+
+from radarml.estimators import GradientBoosting
+
+_TRACING = os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks", "tracing.py")
+
+
+@pytest.fixture
+def tracing():
+    spec = importlib.util.spec_from_file_location("radarml_bench_tracing", _TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _owner_name(owner):
+    return getattr(owner, "__module__", None) if isinstance(owner, type) else owner.__name__
+
+
+def test_every_wrapped_name_exists_and_is_put_back(tracing):
+    # install looks each name up with getattr, so a missing one raises
+    tracer = tracing.Tracer()
+    wrapped = {}
+    try:
+        tracer.install()
+        assert tracer._undo
+        for owner, attr, original in tracer._undo:
+            assert _owner_name(owner).startswith("radarml."), (owner, attr)
+            inner = getattr(owner, attr).__wrapped__
+            assert original is None or inner is original
+            wrapped[(owner, attr, original is None)] = inner
+    finally:
+        tracer.uninstall()
+    assert tracer._undo == []
+    for (owner, attr, inherited), inner in wrapped.items():
+        assert getattr(owner, attr) is inner
+        # a method wrapped on a class that inherits it is removed again
+        assert (attr in vars(owner)) != inherited
+
+
+def test_wrappers_see_the_tree_kernels(tracing):
+    # gradient boosting reaches growth and split search through the
+    # module globals the tracer swaps, so both show up as spans
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(24, 5))
+    y = np.repeat(np.arange(3), 8)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        GradientBoosting(n_estimators=2, max_depth=2).fit(X, y)
+    finally:
+        tracer.uninstall()
+    metrics = tracing.layer_metrics(tracer.spans)
+    assert metrics["ensemble.trees_grown"] == 2 * 3
+    assert metrics["tree.split_regression_calls"] >= 2 * 3
+    assert metrics["ensemble.fit_s.gradient_boosting"] > 0.0

@@ -45,7 +45,7 @@ from .dataset import (
 )
 from .estimators import KINDS
 from .labeling import N_CLASSES
-from .modelsel import evaluate_kinds, stratified_split
+from .modelsel import default_jobs, evaluate_kinds, stratified_split
 from .seeding import derive_seed
 from .sigproc import derive_dataset, standardize_dataset
 from .synth import generate_dataset
@@ -97,8 +97,8 @@ def _sidecar(ds: LabeledDataset, rows, entry, config: ExperimentConfig, role, co
         "data_type": ds.data_type,
         "n_examples": len(rows),
         "n_bins": int(ds.n_bins),
-        # a part counts no drops of its own (the derivation's are not recorded)
-        "n_dropped": 0,
+        # examples dropped before the split, so both parts record them
+        "n_dropped": int(ds.n_dropped),
         "class_counts": {int(c): int(n) for c, n in enumerate(counts)},
         "scenario": dataclasses.asdict(entry.scenario),
         "target": dataclasses.asdict(config.target),
@@ -163,7 +163,7 @@ def cmd_generate(config: ExperimentConfig, out_dir, data_types, jobs) -> int:
     return EXIT_OK
 
 
-def _run_entry(config: ExperimentConfig, entry, estimators, out_dir):
+def _run_entry(config: ExperimentConfig, entry, estimators, out_dir, jobs):
     train_path, test_path = _dataset_paths(out_dir, entry.dataset_id)
     train = load_dataset(train_path)
     test = load_dataset(test_path)
@@ -177,12 +177,9 @@ def _run_entry(config: ExperimentConfig, entry, estimators, out_dir):
         kinds=estimators,
         seed=derive_seed(config.seed, _RUN_KEY, si, schi, dti),
         n_folds=config.n_folds,
+        jobs=jobs,
     )
     return entry.dataset_id, result
-
-
-def _run_entry_star(args):
-    return _run_entry(*args)
 
 
 def _report_payload(dataset_id, result):
@@ -215,12 +212,7 @@ def cmd_run(config: ExperimentConfig, out_dir, data_types, estimators, jobs) -> 
         for path in _dataset_paths(out_dir, entry.dataset_id):
             if not os.path.exists(path):
                 raise MissingInputError(f"dataset file not found: {path}")
-    tasks = [(config, entry, estimators, out_dir) for entry in plan.entries]
-    if jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_run_entry_star, tasks))
-    else:
-        outcomes = [_run_entry(*t) for t in tasks]
+    outcomes = [_run_entry(config, entry, estimators, out_dir, jobs) for entry in plan.entries]
     reports_dir = os.path.join(out_dir, "reports")
     os.makedirs(reports_dir, exist_ok=True)
     payloads = []
@@ -362,10 +354,16 @@ def build_parser() -> argparse.ArgumentParser:
             default="all",
             help="restrict the plan to one data type",
         )
-        p.add_argument("--jobs", type=int, default=1, help="parallel dataset runs (default: %(default)s)")
 
     gen = sub.add_parser("generate", help="synthesize train/test dataset pairs")
     common(gen)
+    # each group holds 0.1-0.3 GB, so every worker adds to the peak memory
+    gen.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="(scenario, scheme) groups generated in parallel (default: %(default)s)",
+    )
 
     run = sub.add_parser("run", help="tune and evaluate estimators on generated datasets")
     common(run)
@@ -373,6 +371,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--estimators",
         default=None,
         help="comma-separated estimator kinds (default: all from config)",
+    )
+    run.add_argument(
+        "--jobs",
+        type=int,
+        default=default_jobs(),
+        help="worker processes for the CV and refit tasks of each dataset "
+        "(default: the CPUs this process may use, %(default)s)",
     )
 
     rep = sub.add_parser("report", help="rank estimators from an existing run directory")

@@ -10,8 +10,12 @@ test portion.
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -129,16 +133,19 @@ def select_best(candidates) -> int:
     return best
 
 
-def cross_val_scores(kind, params, X, y, folds, seed=0, stages=None):
+def cross_val_scores(kind, params, X, y, folds, seed=0, stages=None, first=0):
     """Accuracy (percent) on each fold's validation split, one tuple per stage.
 
     Each fold's model is fit once, through the class's ``fit_together`` and
-    with the fold's own seed, and scored at each entry of ``stages``: stage
-    numbers of its ``staged_predict``, by default only the last,
-    ``n_stages``. The tuples come in the order of ``stages``.
+    with the fold's own seed, ``derive_seed(seed, first + i)`` for
+    ``folds[i]``: ``first`` is the index of ``folds[0]`` in the full fold
+    list, so a run of its folds scores them as the whole list would. Each
+    model is scored at each entry of ``stages``: stage numbers of its
+    ``staged_predict``, by default only the last, ``n_stages``. The tuples
+    come in the order of ``stages``.
     """
     cls = ESTIMATOR_CLASSES[kind]
-    models = [cls(**params, seed=derive_seed(seed, fi)) for fi in range(len(folds))]
+    models = [cls(**params, seed=derive_seed(seed, first + fi)) for fi in range(len(folds))]
     cls.fit_together(models, [X[tr] for tr, _ in folds], [y[tr] for tr, _ in folds])
     if stages is None:
         stages = [cls(**params).n_stages]
@@ -175,12 +182,17 @@ class GridSearchResult:
         return self.candidates[self.best_index]
 
 
-def grid_search(kind, X, y, folds, seed=0, candidates=None) -> GridSearchResult:
-    """Score every candidate by CV and pick the max-min-fold winner.
+class _Fit(NamedTuple):
+    """One shared fit of a search: the candidates it scores, their stages,
+    and its CV seed, that of its last candidate."""
 
-    Each group of ``_shared_fits`` is scored from one fit per fold, of its
-    last candidate and with that candidate's seed.
-    """
+    indices: tuple
+    stages: tuple
+    seed: int
+
+
+def _search_plan(kind, seed, candidates):
+    """The validated candidates of a search and its ``_shared_fits``."""
     if kind not in ESTIMATOR_CLASSES:
         raise ValueError(f"unknown estimator kind {kind!r}")
     if candidates is None:
@@ -189,15 +201,34 @@ def grid_search(kind, X, y, folds, seed=0, candidates=None) -> GridSearchResult:
         candidates = [validate_params(kind, p) for p in candidates]
     if not candidates:
         raise ValueError("candidate list is empty")
-    fold_scores = {}
+    fits = []
     for group in _shared_fits(ESTIMATOR_CLASSES[kind], candidates):
         indices, stages = zip(*group)
-        top = indices[-1]
-        cv_seed = derive_seed(seed, top)
-        per_stage = cross_val_scores(kind, candidates[top], X, y, folds, cv_seed, stages)
-        fold_scores.update(zip(indices, per_stage))
+        fits.append(_Fit(indices, stages, derive_seed(seed, indices[-1])))
+    return candidates, fits
+
+
+def _search_result(kind, candidates, fits, scores) -> GridSearchResult:
+    """The max-min-fold winner, from each fit's per-stage fold scores."""
+    fold_scores = {}
+    for fit, per_stage in zip(fits, scores):
+        fold_scores.update(zip(fit.indices, per_stage))
     scored = [CandidateScore(params, fold_scores[ci]) for ci, params in enumerate(candidates)]
     return GridSearchResult(kind=kind, candidates=scored, best_index=select_best(scored))
+
+
+def grid_search(kind, X, y, folds, seed=0, candidates=None) -> GridSearchResult:
+    """Score every candidate by CV and pick the max-min-fold winner.
+
+    Each group of ``_shared_fits`` is scored from one fit per fold, of its
+    last candidate and with that candidate's seed.
+    """
+    candidates, fits = _search_plan(kind, seed, candidates)
+    scores = [
+        cross_val_scores(kind, candidates[fit.indices[-1]], X, y, folds, fit.seed, fit.stages)
+        for fit in fits
+    ]
+    return _search_result(kind, candidates, fits, scores)
 
 
 @dataclass
@@ -214,6 +245,8 @@ class EvalReport:
     confusion: np.ndarray  # rows = true label, columns = predicted
     n_train: int
     n_test: int
+    # the kind's CV and refit task times, each measured in the process that
+    # ran it; with several workers the sum can exceed the wall time
     seconds: float
     # how the refit ended, for kinds whose fit iterates to a stopping rule
     n_iter: int | None = None
@@ -246,6 +279,127 @@ class ExperimentResult:
     errors: dict = field(default_factory=dict)  # kind -> message
 
 
+def default_jobs() -> int:
+    """The CPUs this process may use: its affinity set where the platform
+    has one, else ``os.cpu_count()``."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _timed(fn, *args):
+    """(seconds, error, value) of ``fn(*args)``: the seconds it took in this
+    process, None or the message of what it raised, and what it returned."""
+    started = time.perf_counter()
+    try:
+        value, error = fn(*args), None
+    except Exception as exc:  # isolate per kind
+        value, error = None, f"{type(exc).__name__}: {exc}"
+    return time.perf_counter() - started, error, value
+
+
+def _refit(kind, params, seed, X, y, X_test):
+    """Test predictions of ``params`` fit on the whole training portion,
+    with the fit's ``n_iter_`` and ``converged_`` where it has them."""
+    model = ESTIMATOR_CLASSES[kind](**params, seed=seed)
+    model.fit(X, y)
+    return model.predict(X_test), getattr(model, "n_iter_", None), getattr(model, "converged_", None)
+
+
+# A pool worker's ``data``, handed over once by ``_init_worker``.
+_worker_data = None
+
+
+def _init_worker(data):
+    global _worker_data
+    _worker_data = data
+
+
+def _worker_cv(kind, params, seed, stages, start, stop):
+    """The ``_timed`` per-stage scores of one shared fit on ``folds[start:stop]``."""
+    X, y, _, folds = _worker_data
+    return _timed(cross_val_scores, kind, params, X, y, folds[start:stop], seed, stages, start)
+
+
+def _worker_refit(kind, params, seed):
+    X, y, X_test, _ = _worker_data
+    return _timed(_refit, kind, params, seed, X, y, X_test)
+
+
+def _chunked_search(kind, candidates, fits, chunks):
+    """A search's ``_timed`` outcome from those of its CV tasks, fit by fit
+    and chunk by chunk: their seconds summed, the first error in task
+    order, or the max-min-fold winner."""
+    seconds = sum(s for s, _, _ in chunks)
+    errors = [error for _, error, _ in chunks if error is not None]
+    if errors:
+        return seconds, errors[0], None
+    n_chunks = len(chunks) // len(fits)
+    values = [value for _, _, value in chunks]
+    # each fit's per-stage scores, its chunks' folds joined in order
+    scores = [
+        [sum(stage, ()) for stage in zip(*values[j * n_chunks : (j + 1) * n_chunks])]
+        for j in range(len(fits))
+    ]
+    return seconds, None, _search_result(kind, candidates, fits, scores)
+
+
+def _pooled_searches(jobs, data, keys):
+    """The searches and refits of ``evaluate_kinds`` on ``jobs`` workers.
+
+    ``data`` is (X_train, y_train, X_test, folds), handed to each worker
+    once; ``keys`` maps each kind to (candidates, search seed, refit seed).
+    Every kind's CV goes in first: per shared fit of its grid, one task per
+    chunk of contiguous folds (``min(jobs, n_folds)`` chunks). Then, kind
+    by kind, once its CV is in and has not failed, its refit goes in
+    behind the CV still queued. Returns, per kind, the ``_timed`` outcomes
+    of its search (its tasks' seconds summed, the first error in task
+    order) and of its refit, None when not run.
+    """
+    folds = data[3]
+    n_chunks = min(jobs, len(folds))
+    edges = [-(-len(folds) * i // n_chunks) for i in range(n_chunks + 1)]
+    outcomes, plans = {}, {}
+    for kind, (cands, search_seed, _) in keys.items():
+        planned = _timed(_search_plan, kind, search_seed, cands)
+        if planned[1] is None:
+            plans[kind] = planned[2]
+        else:
+            outcomes[kind] = (planned, None)
+    if not plans:
+        return outcomes
+    n_tasks = n_chunks * sum(len(fits) for _, fits in plans.values())
+    # fork: a worker inherits the imported package and ``data`` in
+    # milliseconds, where a spawned one re-imports numpy (about 0.3 s);
+    # from Python 3.11 a fork pool starts all its workers before its thread
+    with ProcessPoolExecutor(
+        min(jobs, n_tasks),
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=_init_worker,
+        initargs=(data,),
+    ) as pool:
+        cv = {
+            kind: [
+                pool.submit(
+                    _worker_cv, kind, cands[fit.indices[-1]], fit.seed, fit.stages, start, stop
+                )
+                for fit in fits
+                for start, stop in zip(edges, edges[1:])
+            ]
+            for kind, (cands, fits) in plans.items()
+        }
+        refits = {}
+        for kind in plans:
+            searched = _chunked_search(kind, *plans[kind], [f.result() for f in cv[kind]])
+            outcomes[kind] = (searched, None)
+            if searched[1] is None:
+                params = searched[2].best.params
+                refits[kind] = pool.submit(_worker_refit, kind, params, keys[kind][2])
+        for kind, refit in refits.items():
+            outcomes[kind] = (outcomes[kind][0], refit.result())
+    return outcomes
+
+
 def evaluate_kinds(
     X_train,
     y_train,
@@ -259,12 +413,26 @@ def evaluate_kinds(
     n_folds=DEFAULT_N_FOLDS,
     train_indices=None,
     test_indices=None,
+    jobs=None,
 ) -> ExperimentResult:
     """Tune, refit, and test every requested kind on a pre-split dataset.
 
+    With ``jobs`` 1, or where the platform cannot fork, each kind runs
+    here in turn: ``grid_search``, then the refit of its winner. With more,
+    every kind's CV, split into tasks of contiguous folds, and then its
+    refit run on ``jobs`` worker processes (at most one per task), which
+    exit before this returns (see ``_pooled_searches``). ``jobs`` None
+    means ``default_jobs()``. Every fit draws its seed from its kind,
+    candidate and fold index, so the result is the same at any ``jobs``.
+
     A failure in one kind is recorded under ``errors`` and does not stop
-    the others. All randomness descends from ``seed``.
+    the others; a kind's error is the first raised in task order. All
+    randomness descends from ``seed``.
     """
+    if jobs is None:
+        jobs = default_jobs()
+    if jobs < 1:
+        raise ValueError("jobs must be at least 1")
     X_train = np.asarray(X_train, dtype=np.float64)
     X_test = np.asarray(X_test, dtype=np.float64)
     y_train = np.asarray(y_train)
@@ -279,37 +447,49 @@ def evaluate_kinds(
         train_indices=np.asarray([] if train_indices is None else train_indices),
         test_indices=np.asarray([] if test_indices is None else test_indices),
     )
+    keys = {
+        kind: (
+            None if candidates_by_kind is None else candidates_by_kind.get(kind),
+            derive_seed(seed, _SEARCH_KEY, KINDS.index(kind)),
+            derive_seed(seed, _REFIT_KEY, KINDS.index(kind)),
+        )
+        for kind in kinds
+    }
+    if jobs > 1 and "fork" in multiprocessing.get_all_start_methods():
+        outcomes = _pooled_searches(jobs, (X_train, y_train, X_test, folds), keys)
+    else:
+        outcomes = {}
+        for kind, (cands, search_seed, refit_seed) in keys.items():
+            search = _timed(grid_search, kind, X_train, y_train, folds, search_seed, cands)
+            refit = None
+            if search[1] is None:
+                params = search[2].best.params
+                refit = _timed(_refit, kind, params, refit_seed, X_train, y_train, X_test)
+            outcomes[kind] = (search, refit)
     for kind in kinds:
-        ki = KINDS.index(kind)
-        started = time.perf_counter()
-        try:
-            cands = None if candidates_by_kind is None else candidates_by_kind.get(kind)
-            search = grid_search(
-                kind, X_train, y_train, folds, seed=derive_seed(seed, _SEARCH_KEY, ki), candidates=cands
-            )
-            winner = search.best
-            model = ESTIMATOR_CLASSES[kind](
-                **winner.params, seed=derive_seed(seed, _REFIT_KEY, ki)
-            )
-            model.fit(X_train, y_train)
-            predicted = model.predict(X_test)
-            result.reports[kind] = EvalReport(
-                kind=kind,
-                dataset_id=dataset_id,
-                best_params=winner.params,
-                fold_scores=winner.scores,
-                validation_accuracy=winner.s_mean,
-                min_fold_accuracy=winner.s_min,
-                test_accuracy=accuracy_percent(y_test, predicted),
-                confusion=confusion_matrix(y_test, predicted, class_order),
-                n_train=int(y_train.size),
-                n_test=int(y_test.size),
-                seconds=time.perf_counter() - started,
-                n_iter=getattr(model, "n_iter_", None),
-                converged=getattr(model, "converged_", None),
-            )
-        except Exception as exc:  # isolate per kind
-            result.errors[kind] = f"{type(exc).__name__}: {exc}"
+        (search_seconds, error, search), refit = outcomes[kind]
+        if error is None:
+            refit_seconds, error, refitted = refit
+        if error is not None:
+            result.errors[kind] = error
+            continue
+        predicted, n_iter, converged = refitted
+        winner = search.best
+        result.reports[kind] = EvalReport(
+            kind=kind,
+            dataset_id=dataset_id,
+            best_params=winner.params,
+            fold_scores=winner.scores,
+            validation_accuracy=winner.s_mean,
+            min_fold_accuracy=winner.s_min,
+            test_accuracy=accuracy_percent(y_test, predicted),
+            confusion=confusion_matrix(y_test, predicted, class_order),
+            n_train=int(y_train.size),
+            n_test=int(y_test.size),
+            seconds=search_seconds + refit_seconds,
+            n_iter=n_iter,
+            converged=converged,
+        )
     return result
 
 

@@ -1,10 +1,13 @@
 import hashlib
 import json
+import multiprocessing
 import os
+import re
 
 import pytest
 import yaml
 
+from radarml import cli
 from radarml.cli import (
     EXIT_CONFIG,
     EXIT_ESTIMATOR,
@@ -159,6 +162,26 @@ class TestGenerate:
         with open(path, "rb") as fh:
             assert fh.read() == PINNED_TRAIN_SIDECAR.encode("utf-8")
 
+    def test_sidecars_count_dropped_rows(self, cfg_path, tmp_path, monkeypatch):
+        derive = cli.derive_dataset
+
+        def with_a_constant_row(raw, data_type):
+            derived = derive(raw, data_type)
+            derived.scans[0] = 1.0  # standardize_dataset drops it
+            return derived
+
+        monkeypatch.setattr(cli, "derive_dataset", with_a_constant_row)
+        out = str(tmp_path / "out")
+        assert generate(cfg_path, out) == EXIT_OK
+        kept = 0
+        for role in ("train", "test"):
+            path = os.path.join(out, "datasets", f"outdoor-simple4-motion_filtered-{role}.rds.meta.yaml")
+            with open(path, "r", encoding="utf-8") as fh:
+                meta = yaml.safe_load(fh)
+            assert meta["n_dropped"] == 1
+            kept += meta["n_examples"]
+        assert kept == 4 * TINY["n_per_class"] - 1
+
     def test_parallel_groups_write_the_same_bytes(self, tmp_path):
         cfg = dict(TINY, schemes=["simple4", "grid10"], data_types=["raw", "baseband"])
         path = tmp_path / "cfg.yaml"
@@ -166,6 +189,7 @@ class TestGenerate:
         outs = [str(tmp_path / name) for name in ("serial", "parallel")]
         for out, jobs in zip(outs, ("1", "2")):
             assert main(["generate", "--config", str(path), "--out", out, "--jobs", jobs]) == EXIT_OK
+        assert multiprocessing.active_children() == []
         names = sorted(os.listdir(os.path.join(outs[0], "datasets")))
         assert len(names) == 16
         assert names == sorted(os.listdir(os.path.join(outs[1], "datasets")))
@@ -222,6 +246,31 @@ class TestRun:
         # cells parse back to the report values exactly
         assert float(cells[1]) == payload["estimators"]["linear_svc"]["test_accuracy"]
         assert float(cells[2]) == payload["estimators"]["decision_tree"]["test_accuracy"]
+
+    def test_same_bytes_at_any_jobs(self, cfg_path, tmp_path):
+        out = str(tmp_path / "out")
+        generate(cfg_path, out)
+        reports = os.path.join(out, "reports")
+        written = []
+        for jobs in ("1", "2", "4"):
+            # knn fails (k reaches 30, a fold trains on 16) beside two kinds that succeed
+            args = ["run", "--config", cfg_path, "--out", out, "--jobs", jobs]
+            assert main(args + ["--estimators", "knn,linear_svc,decision_tree"]) == EXIT_ESTIMATOR
+            assert multiprocessing.active_children() == []
+            report_path = os.path.join(reports, "outdoor-simple4-motion_filtered.json")
+            with open(report_path, "r", encoding="utf-8") as fh:
+                report = re.sub(r'"seconds": [^,\n]+', '"seconds": 0', fh.read())
+            with open(os.path.join(reports, "aggregate.csv"), "r", encoding="utf-8") as fh:
+                written.append((report, fh.read()))
+        assert written[0] == written[1] == written[2]
+        payload = json.loads(written[0][0])
+        assert set(payload["estimators"]) == {"linear_svc", "decision_tree"}
+        assert "exceeds 16 training examples" in payload["errors"]["knn"]
+
+    @pytest.mark.parametrize("command", ["generate", "run"])
+    def test_zero_jobs_exit_code(self, cfg_path, tmp_path, command):
+        args = [command, "--config", cfg_path, "--out", str(tmp_path / "o"), "--jobs", "0"]
+        assert main(args) == EXIT_CONFIG
 
     def test_estimator_failure_exit_code(self, cfg_path, tmp_path):
         out = str(tmp_path / "out")

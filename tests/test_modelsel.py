@@ -1,6 +1,9 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 
+from radarml import modelsel
 from radarml.modelsel import (
     CandidateScore,
     cross_val_scores,
@@ -284,6 +287,89 @@ class TestEvaluateKinds:
             assert isinstance(report["n_iter"], int) and report["n_iter"] >= 1
         knn = result.reports["knn"].to_dict()
         assert knn["n_iter"] is None and knn["converged"] is None
+
+
+def _outcome(result):
+    """What a run decides, without its timings."""
+    return result.errors, {
+        kind: (r.best_params, r.fold_scores, r.test_accuracy, r.confusion.tolist())
+        for kind, r in result.reports.items()
+    }
+
+
+class TestJobs:
+    def test_chunks_of_folds_score_as_the_whole_list(self):
+        # each fold keeps the seed of its index in the full list
+        y = np.repeat([0, 1, 2], 20)
+        X = features_for(y, jitter=2.0)
+        folds = stratified_kfold(y, 5, seed=1)
+        params = {"alpha": 0.0001}
+        whole = cross_val_scores("perceptron", params, X, y, folds, seed=4)
+        head = cross_val_scores("perceptron", params, X, y, folds[:3], seed=4)
+        tail = cross_val_scores("perceptron", params, X, y, folds[3:], seed=4, first=3)
+        assert [a + b for a, b in zip(head, tail)] == whole
+        assert cross_val_scores("perceptron", params, X, y, folds[3:], seed=4) != tail
+
+    @pytest.mark.parametrize(
+        "kinds, candidates",
+        [
+            # every k past a fold's 16 training rows fails
+            (("knn",), {"knn": [{"n_neighbors": k} for k in range(1, 31)]}),
+            # a failing kind beside two that succeed
+            (
+                ("knn", "linear_svc", "decision_tree"),
+                {
+                    "knn": [{"n_neighbors": 25}],
+                    "linear_svc": [{"C": 1.0}],
+                    "decision_tree": [{"criterion": "gini", "max_features": "auto"}],
+                },
+            ),
+            # several perceptron fits, each stepping its folds in lockstep
+            (("perceptron",), {"perceptron": [{"alpha": a} for a in (0.0001, 0.01, 0.1)]}),
+        ],
+        ids=["knn_exceeds_fold", "failure_beside_success", "perceptron_lockstep"],
+    )
+    def test_same_result_at_any_jobs(self, kinds, candidates):
+        # overlapping classes, so a fold's score depends on its seed
+        y = np.repeat([0, 1], 10)
+        X = np.random.default_rng(0).normal(size=(y.size, 4)) + 0.5 * y[:, None]
+        kw = dict(kinds=kinds, candidates_by_kind=candidates, seed=3)
+        outcomes = [
+            _outcome(evaluate_kinds(X, y, X[::-1], y[::-1], **kw, jobs=jobs)) for jobs in (1, 2, 4)
+        ]
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+        errors, reports = outcomes[0]
+        assert set(errors) | set(reports) == set(kinds)
+        if "knn" in kinds:
+            assert "exceeds 16 training examples" in errors["knn"]
+        assert multiprocessing.active_children() == []
+
+    def test_error_is_the_first_in_task_order(self):
+        # classes of 10 and 9 rows: folds 0-3 train on 15, fold 4 on 16, so
+        # at jobs=4 the last chunk (fold 4 alone) fails with another message
+        y = np.repeat([0, 1], [10, 9])
+        X = features_for(y)
+        errors = [
+            evaluate_kinds(
+                X, y, X, y, kinds=("knn",), candidates_by_kind={"knn": [{"n_neighbors": 17}]}, jobs=jobs
+            ).errors
+            for jobs in (1, 2, 4)
+        ]
+        assert errors == [{"knn": "ValueError: n_neighbors=17 exceeds 15 training examples"}] * 3
+
+    def test_serial_where_the_platform_cannot_fork(self, monkeypatch):
+        y = np.repeat([0, 1], 10)
+        X = features_for(y, jitter=1.0)
+        kw = dict(kinds=("knn",), candidates_by_kind={"knn": [{"n_neighbors": 3}]}, seed=1)
+        expected = _outcome(evaluate_kinds(X, y, X, y, **kw, jobs=1))
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.setattr(modelsel, "_pooled_searches", None)  # a pool would call it
+        assert _outcome(evaluate_kinds(X, y, X, y, **kw, jobs=2)) == expected
+
+    def test_zero_jobs_rejected_before_any_work(self):
+        # empty labels would fail the fold split; the jobs check comes first
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            evaluate_kinds(np.zeros((0, 2)), [], np.zeros((0, 2)), [], jobs=0)
 
 
 class TestRunExperiment:

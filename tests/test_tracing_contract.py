@@ -7,11 +7,13 @@ name, so a rename under ``src/`` would otherwise surface only as a broken
 """
 
 import importlib.util
+import multiprocessing
 import os
 
 import numpy as np
 import pytest
 
+from radarml import modelsel
 from radarml.estimators import GradientBoosting
 
 _TRACING = os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks", "tracing.py")
@@ -66,3 +68,40 @@ def test_wrappers_see_the_tree_kernels(tracing):
     assert metrics["ensemble.trees_grown"] == 2 * 3
     assert metrics["tree.split_regression_calls"] >= 2 * 3
     assert metrics["ensemble.fit_s.gradient_boosting"] > 0.0
+
+
+def test_worker_pool_runs_under_the_tracer(tracing):
+    # the pool pickles its task function by name, which the tracer leaves
+    # unwrapped; the workers' own spans stay in the workers, while at
+    # jobs=1 every search and refit is traced here
+    y = np.repeat(np.arange(3), 10)
+    X = np.random.default_rng(1).normal(size=(y.size, 4)) + y[:, None]
+    grids = {
+        "knn": [{"n_neighbors": k} for k in (1, 3, 30)],
+        "decision_tree": [{"criterion": "gini", "max_features": "auto"}],
+    }
+    outcomes = []
+    for jobs in (1, 2):
+        tracer = tracing.Tracer()
+        try:
+            tracer.install()
+            result = modelsel.evaluate_kinds(
+                X, y, X, y, kinds=tuple(grids), candidates_by_kind=grids, seed=2, jobs=jobs
+            )
+        finally:
+            tracer.uninstall()
+        assert multiprocessing.active_children() == []
+        if jobs == 1:
+            metrics = tracing.layer_metrics(tracer.spans)
+            assert metrics["modelsel.grid_search_s.decision_tree"] > 0.0
+            assert metrics["modelsel.refit_s.decision_tree"] > 0.0
+            assert metrics["modelsel.grid_search_s.knn"] > 0.0
+            # one shared fit per kind (k-NN scores every k from one), 5 folds
+            assert metrics["modelsel.evals"] == 2 * 5
+        reports = {
+            kind: (r.best_params, r.fold_scores, r.test_accuracy, r.confusion.tolist())
+            for kind, r in result.reports.items()
+        }
+        outcomes.append((result.errors, reports))
+    assert outcomes[0] == outcomes[1]
+    assert "exceeds" in outcomes[0][0]["knn"] and "decision_tree" in outcomes[0][1]

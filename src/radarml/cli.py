@@ -22,7 +22,6 @@ import dataclasses
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import yaml
@@ -39,16 +38,17 @@ from .dataset import (
     DATA_TYPES,
     DatasetFormatError,
     LabeledDataset,
+    check_labels,
     load_dataset,
     save_dataset,
     write_atomic,
 )
 from .estimators import KINDS
 from .labeling import N_CLASSES
-from .modelsel import default_jobs, evaluate_kinds, stratified_split
+from .modelsel import default_jobs, evaluate_kinds, fork_pool, stratified_split, use_pool
 from .seeding import derive_seed
 from .sigproc import derive_dataset, standardize_dataset
-from .synth import generate_dataset
+from .synth import balanced_labels, generate_dataset
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -58,6 +58,10 @@ EXIT_ESTIMATOR = 4
 _GEN_KEY = 301
 _SPLIT_KEY = 302
 _RUN_KEY = 303
+
+# Examples per block when a group is generated: a block's raw triples are
+# 2.9 MB at 480 bins and its derived and standardized rows 1 MB each.
+_GROUP_BLOCK = 256
 
 
 class MissingInputError(FileNotFoundError):
@@ -112,22 +116,53 @@ def _generate_group(config: ExperimentConfig, keys, members, out_dir):
     split of each of its plan entries.
 
     ``keys`` are the group's (scenario, scheme) seed keys and ``members``
-    its (plan entry, data type key) pairs, in plan order.
+    its (plan entry, data type key) pairs, in plan order. The group is
+    walked in blocks of ``_GROUP_BLOCK`` consecutive examples: each block
+    is synthesized, then derived and standardized for every data type,
+    and its kept rows go into one output per data type. Every example and
+    row is computed on its own, so the files do not depend on the block
+    size, and neither the group's raw triples nor a whole derived matrix
+    is ever built.
     """
     written = []
     si, schi = keys
     first = members[0][0]
-    raw = generate_dataset(
-        first.scenario,
-        config.scheme_object(first.scheme),
-        config.n_per_class,
-        derive_seed(config.seed, _GEN_KEY, si, schi),
-        reflectivity=config.target.reflectivity,
-        jitter_sigma=config.target.jitter_sigma,
-        min_range=config.target.min_range,
-    )
+    scheme = config.scheme_object(first.scheme)
+    labels = balanced_labels(scheme, config.n_per_class)
+    check_labels(labels, scheme.kind)
+    n, n_bins = labels.size, first.scenario.n_bins
+    data_types = [entry.data_type for entry, _ in members]
+    scans = {dt: np.empty((n, n_bins)) for dt in data_types}
+    kept = {dt: np.empty(n, dtype=np.int64) for dt in data_types}  # labels of the kept rows
+    filled = dict.fromkeys(data_types, 0)
+    seed = derive_seed(config.seed, _GEN_KEY, si, schi)
+    for start in range(0, n, _GROUP_BLOCK):
+        raw = generate_dataset(
+            first.scenario,
+            scheme,
+            config.n_per_class,
+            seed,
+            reflectivity=config.target.reflectivity,
+            jitter_sigma=config.target.jitter_sigma,
+            min_range=config.target.min_range,
+            rows=slice(start, start + _GROUP_BLOCK),
+        )
+        for dt in data_types:
+            block = standardize_dataset(derive_dataset(raw, dt))
+            rows = slice(filled[dt], filled[dt] + block.n_examples)
+            scans[dt][rows] = block.scans
+            kept[dt][rows] = block.labels
+            filled[dt] = rows.stop
     for entry, dti in members:
-        derived = standardize_dataset(derive_dataset(raw, entry.data_type))
+        dt = entry.data_type
+        derived = LabeledDataset(
+            scans=scans[dt][: filled[dt]],
+            labels=kept[dt][: filled[dt]],
+            scheme=entry.scheme,
+            data_type=dt,
+            scenario_id=entry.scenario.scenario_id,
+            n_dropped=n - filled[dt],
+        )
         split_seed = derive_seed(config.seed, _SPLIT_KEY, si, schi, dti)
         tr_idx, te_idx = stratified_split(derived.labels, config.train_fraction, split_seed)
         train_path, test_path = _dataset_paths(out_dir, entry.dataset_id)
@@ -142,19 +177,22 @@ def _generate_group(config: ExperimentConfig, keys, members, out_dir):
     return written
 
 
-def _generate_group_star(args):
-    return _generate_group(*args)
-
-
 def cmd_generate(config: ExperimentConfig, out_dir, data_types, jobs) -> int:
     members = {}  # (scenario, scheme) keys -> [(entry, data type key)], plan order
     for entry in build_plan(config, out_dir, data_types).entries:
         si, schi, dti = _entry_keys(config, entry)
         members.setdefault((si, schi), []).append((entry, dti))
     groups = [(config, keys, group, out_dir) for keys, group in members.items()]
-    if jobs > 1 and len(groups) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_generate_group_star, groups))
+    if use_pool(jobs) and len(groups) > 1:
+        # one group per task, those of the most classes (so examples) first,
+        # so that the small ones fill in at the end
+        classes = [N_CLASSES[SCHEMES[schi]] for _, schi in members]
+        with fork_pool(min(jobs, len(groups))) as pool:
+            futures = {
+                g: pool.submit(_generate_group, *groups[g])
+                for g in sorted(range(len(groups)), key=lambda g: -classes[g])
+            }
+            results = [futures[g].result() for g in range(len(groups))]
     else:
         results = [_generate_group(*g) for g in groups]
     for written in results:
@@ -357,12 +395,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate", help="synthesize train/test dataset pairs")
     common(gen)
-    # each group holds 0.1-0.3 GB, so every worker adds to the peak memory
     gen.add_argument(
         "--jobs",
         type=int,
-        default=1,
-        help="(scenario, scheme) groups generated in parallel (default: %(default)s)",
+        default=default_jobs(),
+        help="worker processes, each generating one (scenario, scheme) group "
+        "at a time (default: the CPUs this process may use, %(default)s)",
     )
 
     run = sub.add_parser("run", help="tune and evaluate estimators on generated datasets")

@@ -28,6 +28,7 @@ from .synth import (
 _SCENARIO_SEED_KEY = 201
 
 SCHEMES = (SIMPLE4, GRID10)
+_SCHEME_OBJECTS = {SIMPLE4: Simple4Scheme(), GRID10: Grid10Scheme()}
 
 
 def _field_types(cls, skip=()):
@@ -117,6 +118,17 @@ class TargetParams:
     jitter_sigma: float = DEFAULT_JITTER_SIGMA
     min_range: float = DEFAULT_MIN_RANGE
 
+    def __post_init__(self):
+        if self.reflectivity <= 0:
+            raise ValueError("reflectivity must be positive")
+        if self.jitter_sigma < 0:
+            raise ValueError("jitter_sigma must be nonnegative")
+        r_high = _SCHEME_OBJECTS[SIMPLE4].r_high
+        if not 0 < self.min_range < r_high:
+            raise ValueError(
+                f"min_range must lie above 0 and below the {SIMPLE4} high-risk boundary, {r_high} m"
+            )
+
 
 _TARGET_FIELDS = _field_types(TargetParams)
 
@@ -134,7 +146,7 @@ class ExperimentConfig:
     estimators: tuple
 
     def scheme_object(self, kind: str):
-        return {SIMPLE4: Simple4Scheme(), GRID10: Grid10Scheme()}[kind]
+        return _SCHEME_OBJECTS[kind]
 
 
 @dataclass(frozen=True)
@@ -202,12 +214,15 @@ def parse_config(raw) -> ExperimentConfig:
 
     target_raw = merged["target"]
     _check_fields(target_raw, _TARGET_FIELDS, "target")
-    target = TargetParams(
-        **{
-            key: _coerce(value, _TARGET_FIELDS[key], f"target.{key}")
-            for key, value in target_raw.items()
-        }
-    )
+    try:
+        target = TargetParams(
+            **{
+                key: _coerce(value, _TARGET_FIELDS[key], f"target.{key}")
+                for key, value in target_raw.items()
+            }
+        )
+    except ValueError as exc:
+        raise ConfigError(f"target: {exc}") from exc
 
     scenarios_raw = merged["scenarios"]
     if not isinstance(scenarios_raw, dict) or not scenarios_raw:
@@ -225,6 +240,16 @@ def parse_config(raw) -> ExperimentConfig:
             f"(indoor min {min(indoor_clutter)}, outdoor max {max(outdoor_clutter)})"
         )
 
+    schemes = _string_list(merged["schemes"], SCHEMES, "schemes")
+    for sc in scenarios:
+        for kind in schemes:
+            reach = _SCHEME_OBJECTS[kind].max_range
+            if sc.window_m <= reach:
+                raise ConfigError(
+                    f"scenarios.{sc.scenario_id}: the {sc.window_m:.3f} m scan window does "
+                    f"not reach the farthest {kind} target, at {reach:.3f} m"
+                )
+
     return ExperimentConfig(
         seed=seed,
         n_per_class=n_per_class,
@@ -232,7 +257,7 @@ def parse_config(raw) -> ExperimentConfig:
         n_folds=n_folds,
         target=target,
         scenarios=scenarios,
-        schemes=_string_list(merged["schemes"], SCHEMES, "schemes"),
+        schemes=schemes,
         data_types=_string_list(merged["data_types"], DATA_TYPES, "data_types"),
         estimators=_string_list(merged["estimators"], KINDS, "estimators"),
     )

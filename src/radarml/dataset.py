@@ -86,16 +86,20 @@ class LabeledDataset:
         return f"{self.scenario_id}-{self.scheme}-{self.data_type}"
 
     def validate_labels(self) -> None:
-        """Check labels fit the scheme and each class occurs at least twice."""
-        n_classes = N_CLASSES.get(self.scheme)
-        if n_classes is None:
-            raise ValueError(f"unknown scheme {self.scheme!r}")
-        if self.n_examples and (self.labels.min() < 0 or self.labels.max() >= n_classes):
-            raise ValueError(f"labels outside 0..{n_classes - 1} for scheme {self.scheme}")
-        counts = np.bincount(self.labels, minlength=n_classes)
-        thin = np.nonzero((counts > 0) & (counts < 2))[0]
-        if thin.size:
-            raise ValueError(f"class {thin[0]} has fewer than 2 examples; stratification needs 2")
+        check_labels(self.labels, self.scheme)
+
+
+def check_labels(labels: np.ndarray, scheme: str) -> None:
+    """Check labels fit the scheme and each class occurs at least twice."""
+    n_classes = N_CLASSES.get(scheme)
+    if n_classes is None:
+        raise ValueError(f"unknown scheme {scheme!r}")
+    if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
+        raise ValueError(f"labels outside 0..{n_classes - 1} for scheme {scheme}")
+    counts = np.bincount(labels, minlength=n_classes)
+    thin = np.nonzero((counts > 0) & (counts < 2))[0]
+    if thin.size:
+        raise ValueError(f"class {thin[0]} has fewer than 2 examples; stratification needs 2")
 
 
 def _pack_str(s: str) -> bytes:

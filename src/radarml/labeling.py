@@ -44,6 +44,11 @@ class Simple4Scheme:
     def n_classes(self) -> int:
         return 4
 
+    @property
+    def max_range(self) -> float:
+        """Farthest range at which a target is placed (label 3)."""
+        return self.r_low
+
 
 @dataclass(frozen=True)
 class Grid10Scheme:
@@ -74,6 +79,12 @@ class Grid10Scheme:
     @property
     def n_classes(self) -> int:
         return 10
+
+    @property
+    def max_range(self) -> float:
+        """Farthest range at which a target is placed: the far corners."""
+        far_x = self.origin_range + self.ROWS * self.cell_depth
+        return math.hypot(far_x, 0.5 * self.COLS * self.cell_width)
 
     def cell_bounds(self, row: int, col: int) -> tuple[float, float, float, float]:
         """(x_lo, x_hi, y_lo, y_hi) of a cell, half-open on the hi side."""

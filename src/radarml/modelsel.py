@@ -287,6 +287,28 @@ def default_jobs() -> int:
     return os.cpu_count() or 1
 
 
+def use_pool(jobs) -> bool:
+    """Whether ``jobs`` calls for a ``fork_pool``: more than one job, on a
+    platform that can fork. Otherwise the work runs in this process, in
+    the same order and to the same result."""
+    return jobs > 1 and "fork" in multiprocessing.get_all_start_methods()
+
+
+def fork_pool(workers, initializer=None, initargs=()) -> ProcessPoolExecutor:
+    """A process pool of ``workers`` forked workers.
+
+    Fork: a worker inherits the imported package and this process's data
+    in milliseconds, where a spawned one re-imports numpy (about 0.3 s);
+    from Python 3.11 a fork pool starts all its workers before its thread.
+    """
+    return ProcessPoolExecutor(
+        workers,
+        mp_context=multiprocessing.get_context("fork"),
+        initializer=initializer,
+        initargs=initargs,
+    )
+
+
 def _timed(fn, *args):
     """(seconds, error, value) of ``fn(*args)``: the seconds it took in this
     process, None or the message of what it raised, and what it returned."""
@@ -350,11 +372,14 @@ def _pooled_searches(jobs, data, keys):
     ``data`` is (X_train, y_train, X_test, folds), handed to each worker
     once; ``keys`` maps each kind to (candidates, search seed, refit seed).
     Every kind's CV goes in first: per shared fit of its grid, one task per
-    chunk of contiguous folds (``min(jobs, n_folds)`` chunks). Then, kind
-    by kind, once its CV is in and has not failed, its refit goes in
-    behind the CV still queued. Returns, per kind, the ``_timed`` outcomes
-    of its search (its tasks' seconds summed, the first error in task
-    order) and of its refit, None when not run.
+    chunk of contiguous folds (``min(jobs, n_folds)`` chunks). A kind with
+    one candidate knows its refit before any CV, so its refit goes in
+    right behind all CV tasks, and a one-kind call keeps every worker busy
+    to its end (a failed CV still wins: ``evaluate_kinds`` then reads no
+    refit). Any other kind's refit goes in once its CV is in and has not
+    failed, behind the tasks still queued. Returns, per kind, the
+    ``_timed`` outcomes of its search (its tasks' seconds summed, the
+    first error in task order) and of its refit, None when not run.
     """
     folds = data[3]
     n_chunks = min(jobs, len(folds))
@@ -369,15 +394,7 @@ def _pooled_searches(jobs, data, keys):
     if not plans:
         return outcomes
     n_tasks = n_chunks * sum(len(fits) for _, fits in plans.values())
-    # fork: a worker inherits the imported package and ``data`` in
-    # milliseconds, where a spawned one re-imports numpy (about 0.3 s);
-    # from Python 3.11 a fork pool starts all its workers before its thread
-    with ProcessPoolExecutor(
-        min(jobs, n_tasks),
-        mp_context=multiprocessing.get_context("fork"),
-        initializer=_init_worker,
-        initargs=(data,),
-    ) as pool:
+    with fork_pool(min(jobs, n_tasks), _init_worker, (data,)) as pool:
         cv = {
             kind: [
                 pool.submit(
@@ -388,11 +405,15 @@ def _pooled_searches(jobs, data, keys):
             ]
             for kind, (cands, fits) in plans.items()
         }
-        refits = {}
+        refits = {
+            kind: pool.submit(_worker_refit, kind, cands[0], keys[kind][2])
+            for kind, (cands, _) in plans.items()
+            if len(cands) == 1
+        }
         for kind in plans:
             searched = _chunked_search(kind, *plans[kind], [f.result() for f in cv[kind]])
             outcomes[kind] = (searched, None)
-            if searched[1] is None:
+            if searched[1] is None and kind not in refits:
                 params = searched[2].best.params
                 refits[kind] = pool.submit(_worker_refit, kind, params, keys[kind][2])
         for kind, refit in refits.items():
@@ -455,7 +476,7 @@ def evaluate_kinds(
         )
         for kind in kinds
     }
-    if jobs > 1 and "fork" in multiprocessing.get_all_start_methods():
+    if use_pool(jobs):
         outcomes = _pooled_searches(jobs, (X_train, y_train, X_test, folds), keys)
     else:
         outcomes = {}

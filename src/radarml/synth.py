@@ -26,7 +26,7 @@ from .labeling import (
     LabelScheme,
     Simple4Scheme,
 )
-from .seeding import make_rng, seed_sequence
+from .seeding import make_rng
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
@@ -204,6 +204,12 @@ def place_target_for_label(
     )
 
 
+def balanced_labels(scheme: LabelScheme, n_per_class: int) -> np.ndarray:
+    """Labels of a balanced set: ``n_per_class`` examples of each class,
+    in class order."""
+    return np.repeat(np.arange(scheme.n_classes, dtype=np.int64), n_per_class)
+
+
 def generate_dataset(
     scenario: Scenario,
     scheme: LabelScheme,
@@ -213,15 +219,23 @@ def generate_dataset(
     reflectivity: float = DEFAULT_REFLECTIVITY,
     jitter_sigma: float = DEFAULT_JITTER_SIGMA,
     min_range: float = DEFAULT_MIN_RANGE,
+    rows: slice | None = None,
 ) -> LabeledDataset:
     """Balanced raw dataset with a slow-time triple per example.
 
     For every example three consecutive scans (t-2, t-1, t) are
     synthesized from the same target placement; the trailing scan is the
     feature row and the two earlier ones go to ``history`` so the motion
-    filter can be derived downstream. One child RNG stream per example,
-    spawned from ``seed``, keeps generation deterministic and
+    filter can be derived downstream. Example i draws from its own RNG
+    stream, ``make_rng(seed, i)``: the i-th child of
+    ``seed_sequence(seed).spawn``, so generation is deterministic and
     order-independent.
+
+    ``rows``, a slice of example indices, synthesizes only those examples,
+    each the same to the last bit as in the whole set, so a caller can
+    walk a large set in blocks. The whole set's labels are validated; a
+    block's are not (it may hold a single example of a class), so a caller
+    that walks blocks validates ``balanced_labels`` once.
 
     A scan is the static background plus, when a target is present, its
     echo centered at the two-way delay of the (jittered) range with
@@ -235,8 +249,10 @@ def generate_dataset(
     """
     if n_per_class < 2:
         raise ValueError("n_per_class must be at least 2")
-    n_classes = scheme.n_classes
-    labels = np.repeat(np.arange(n_classes, dtype=np.int64), n_per_class)
+    labels = balanced_labels(scheme, n_per_class)
+    indices = range(labels.size)
+    if rows is not None:
+        indices, labels = indices[rows], labels[rows]
     n_examples = labels.size
     n_bins = scenario.n_bins
     noisy = scenario.noise_sigma > 0
@@ -244,9 +260,8 @@ def generate_dataset(
     samples = np.empty((n_examples, 3, n_bins))
     centers = np.zeros((n_examples, 3))
     amplitudes = np.zeros((n_examples, 3))
-    children = seed_sequence(seed).spawn(n_examples)
-    for i, label in enumerate(labels):
-        rng = np.random.Generator(np.random.PCG64(children[i]))
+    for i, (example, label) in enumerate(zip(indices, labels)):
+        rng = make_rng(seed, example)
         target = None
         if label:
             target = place_target_for_label(
@@ -298,5 +313,6 @@ def generate_dataset(
         scenario_id=scenario.scenario_id,
         history=samples[:, :2],
     )
-    ds.validate_labels()
+    if rows is None:
+        ds.validate_labels()
     return ds

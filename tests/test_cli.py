@@ -3,6 +3,7 @@ import json
 import multiprocessing
 import os
 import re
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 import yaml
@@ -17,7 +18,12 @@ from radarml.cli import (
     aggregate_rows,
     main,
 )
-from radarml.config import ConfigError
+from radarml.config import ConfigError, build_plan, parse_config
+from radarml.dataset import save_dataset
+from radarml.modelsel import stratified_split
+from radarml.seeding import derive_seed
+from radarml.sigproc import derive_dataset, standardize_dataset
+from radarml.synth import generate_dataset
 
 TINY = {
     "seed": 0,
@@ -88,6 +94,12 @@ def digest(path):
 
 def generate(cfg_path, out):
     return main(["generate", "--config", cfg_path, "--out", out])
+
+
+def tree_digests(out):
+    """File name -> digest of every file ``generate`` wrote under ``out``."""
+    base = os.path.join(out, "datasets")
+    return {name: digest(os.path.join(base, name)) for name in sorted(os.listdir(base))}
 
 
 class TestGenerate:
@@ -182,26 +194,78 @@ class TestGenerate:
             kept += meta["n_examples"]
         assert kept == 4 * TINY["n_per_class"] - 1
 
-    def test_parallel_groups_write_the_same_bytes(self, tmp_path):
+    def test_parallel_groups_write_the_same_bytes(self, tmp_path, capsys):
         cfg = dict(TINY, schemes=["simple4", "grid10"], data_types=["raw", "baseband"])
         path = tmp_path / "cfg.yaml"
         path.write_text(yaml.safe_dump(cfg))
-        outs = [str(tmp_path / name) for name in ("serial", "parallel")]
-        for out, jobs in zip(outs, ("1", "2")):
-            assert main(["generate", "--config", str(path), "--out", out, "--jobs", jobs]) == EXIT_OK
-        assert multiprocessing.active_children() == []
-        names = sorted(os.listdir(os.path.join(outs[0], "datasets")))
-        assert len(names) == 16
-        assert names == sorted(os.listdir(os.path.join(outs[1], "datasets")))
-        for name in names:
-            assert digest(os.path.join(outs[0], "datasets", name)) == digest(
-                os.path.join(outs[1], "datasets", name)
-            )
+        # the default --jobs is the CPUs this process may use
+        runs = [["--jobs", "1"], [], ["--jobs", "2"], ["--jobs", "4"]]
+        outs = [str(tmp_path / str(i)) for i in range(len(runs))]
+        printed = []
+        for out, extra in zip(outs, runs):
+            assert main(["generate", "--config", str(path), "--out", out, *extra]) == EXIT_OK
+            assert multiprocessing.active_children() == []
+            printed.append(capsys.readouterr().out.replace(out, "<out>"))
+        serial = tree_digests(outs[0])
+        assert len(serial) == 16
+        for out in outs[1:]:
+            assert tree_digests(out) == serial
+        # the wrote lines keep plan order, although grid10 groups go in first
+        assert printed[0].splitlines()[0] == "wrote <out>/datasets/outdoor-simple4-raw-train.rds"
+        assert printed[1:] == printed[:1] * 3
+
+    def test_pool_takes_the_largest_groups_first(self, tmp_path, monkeypatch):
+        submitted = []
+
+        class Recording(ThreadPoolExecutor):
+            def submit(self, fn, *args):
+                submitted.append(args[1])  # the group's (scenario, scheme) keys
+                return super().submit(fn, *args)
+
+        monkeypatch.setattr(cli, "fork_pool", lambda workers: Recording(workers))
+        cfg = dict(TINY, schemes=["simple4", "grid10"], data_types=["raw"])
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        assert main(["generate", "--config", str(path), "--out", str(tmp_path / "o"), "--jobs", "2"]) == EXIT_OK
+        assert submitted == [(0, 1), (0, 0)]  # grid10 (10 classes) before simple4 (4)
+
+    def test_serial_where_the_platform_cannot_fork(self, tmp_path, monkeypatch):
+        cfg = dict(TINY, schemes=["simple4", "grid10"], data_types=["baseband"])
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        serial = str(tmp_path / "serial")
+        assert main(["generate", "--config", str(path), "--out", serial, "--jobs", "1"]) == EXIT_OK
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.setattr(cli, "fork_pool", None)  # a pool would call it
+        fallback = str(tmp_path / "fallback")
+        assert main(["generate", "--config", str(path), "--out", fallback, "--jobs", "2"]) == EXIT_OK
+        assert tree_digests(fallback) == tree_digests(serial)
 
     def test_bad_config_exit_code(self, tmp_path):
         path = tmp_path / "cfg.yaml"
         path.write_text(yaml.safe_dump({"n_per_clas": 10}))
         assert main(["generate", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"target": {"min_range": 1.5}}, "target: min_range must lie above 0 and below"),
+            ({"target": {"reflectivity": -4.0}}, "target: reflectivity must be positive"),
+            ({"target": {"jitter_sigma": -0.06}}, "target: jitter_sigma must be nonnegative"),
+            (
+                {"scenarios": {"outdoor": dict(TINY["scenarios"]["outdoor"], n_bins=64)}},
+                "scenarios.outdoor: the 0.585 m scan window does not reach the farthest simple4 target",
+            ),
+        ],
+        ids=["min_range_beyond_zone_1", "negative_reflectivity", "negative_jitter", "window_short_of_zone_3"],
+    )
+    def test_bad_target_or_window_exit_code(self, change, message, tmp_path, capsys):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump({**TINY, **change}))
+        out = tmp_path / "o"
+        assert main(["generate", "--config", str(path), "--out", str(out), "--jobs", "2"]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "text, message",
@@ -217,6 +281,77 @@ class TestGenerate:
             path.write_text(text)
         assert main(["generate", "--config", str(path), "--out", str(tmp_path / "o")]) == EXIT_CONFIG
         assert message in capsys.readouterr().err
+
+
+class TestStreamedGroups:
+    """A group is generated in blocks of ``cli._GROUP_BLOCK`` examples;
+    its files equal those of whole-array calls at any block size."""
+
+    CONFIG = dict(TINY, schemes=["simple4", "grid10"], data_types=["raw", "baseband", "motion_filtered"])
+
+    def whole_array_files(self, out, generate_dataset=generate_dataset):
+        """The files of ``CONFIG``, each group synthesized, derived and
+        standardized as whole arrays: the reference the streamed path
+        must equal byte for byte."""
+        config = parse_config(self.CONFIG)
+        for entry in build_plan(config).entries:
+            si, schi, dti = cli._entry_keys(config, entry)
+            raw = generate_dataset(
+                entry.scenario,
+                config.scheme_object(entry.scheme),
+                config.n_per_class,
+                derive_seed(config.seed, cli._GEN_KEY, si, schi),
+                reflectivity=config.target.reflectivity,
+                jitter_sigma=config.target.jitter_sigma,
+                min_range=config.target.min_range,
+            )
+            ds = standardize_dataset(derive_dataset(raw, entry.data_type))
+            split_seed = derive_seed(config.seed, cli._SPLIT_KEY, si, schi, dti)
+            parts = stratified_split(ds.labels, config.train_fraction, split_seed)
+            paths = cli._dataset_paths(out, entry.dataset_id)
+            os.makedirs(os.path.dirname(paths[0]), exist_ok=True)
+            for rows, path, role, other in zip(parts, paths, ("train", "test"), paths[::-1]):
+                save_dataset(ds, path, rows)
+                meta = cli._sidecar(ds, rows, entry, config, role, os.path.basename(other))
+                with open(path + ".meta.yaml", "wb") as fh:
+                    fh.write(meta)
+        return tree_digests(out)
+
+    def streamed_files(self, out, tmp_path):
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(self.CONFIG))
+        assert main(["generate", "--config", str(path), "--out", out, "--jobs", "1"]) == EXIT_OK
+        return tree_digests(out)
+
+    # simple4 groups hold 200 examples and grid10 groups 500
+    @pytest.mark.parametrize("block", [1, 7, 199, 499, 501])
+    def test_bytes_equal_the_whole_array_path(self, block, tmp_path, monkeypatch):
+        want = self.whole_array_files(str(tmp_path / "whole"))
+        monkeypatch.setattr(cli, "_GROUP_BLOCK", block)
+        assert self.streamed_files(str(tmp_path / "streamed"), tmp_path) == want
+        assert len(want) == 24
+
+    def test_degenerate_row_mid_block_is_dropped_and_counted(self, tmp_path, monkeypatch):
+        flat = 10  # the middle of the block of examples 7-13
+
+        def with_a_flat_example(*args, rows=None, **kwargs):
+            raw = generate_dataset(*args, rows=rows, **kwargs)
+            i = flat - (0 if rows is None else rows.start)
+            if 0 <= i < raw.n_examples:
+                # every derived vector of a constant triple is constant
+                raw.scans[i] = 1.0
+                raw.history[i] = 1.0
+            return raw
+
+        want = self.whole_array_files(str(tmp_path / "whole"), with_a_flat_example)
+        monkeypatch.setattr(cli, "_GROUP_BLOCK", 7)
+        monkeypatch.setattr(cli, "generate_dataset", with_a_flat_example)
+        out = str(tmp_path / "streamed")
+        assert self.streamed_files(out, tmp_path) == want
+        for name in want:
+            if name.endswith(".meta.yaml"):
+                with open(os.path.join(out, "datasets", name), "r", encoding="utf-8") as fh:
+                    assert yaml.safe_load(fh)["n_dropped"] == 1, name
 
 
 class TestRun:

@@ -98,6 +98,19 @@ class TestValidation:
         with pytest.raises(ConfigError):
             parse_config({"data_types": ["spectrogram"]})
 
+    def test_window_must_reach_every_scheme(self):
+        # 400 bins span 3.657 m: past simple4's 3 m, short of grid10's far corners
+        short = {"o": {"environment": "outdoor", "n_bins": 400}}
+        parse_config({"scenarios": short, "schemes": ["simple4"]})
+        with pytest.raises(ConfigError, match="farthest grid10 target, at 3.808 m"):
+            parse_config({"scenarios": short})
+
+    def test_target_values_checked(self):
+        for target in ({"min_range": 0.0}, {"min_range": 1.0}, {"reflectivity": 0.0}, {"jitter_sigma": -1e-9}):
+            with pytest.raises(ConfigError, match="target: "):
+                parse_config({"target": target})
+        parse_config({"target": {"min_range": 0.99, "jitter_sigma": 0.0, "reflectivity": 1e-3}})
+
     def test_bad_scenario_value_wrapped(self):
         with pytest.raises(ConfigError):
             parse_config({"scenarios": {"o": {"environment": "outdoor", "n_bins": 8}}})

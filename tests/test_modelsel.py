@@ -344,6 +344,44 @@ class TestJobs:
             assert "exceeds 16 training examples" in errors["knn"]
         assert multiprocessing.active_children() == []
 
+    @pytest.mark.parametrize(
+        "kinds, candidates",
+        [
+            # one kind, one candidate: its refit goes in with its CV
+            (("extra_trees",), {"extra_trees": [{"n_estimators": 16, "criterion": "gini", "max_features": "auto"}]}),
+            # one-candidate kinds beside a kind whose refit waits for its CV
+            (
+                ("linear_svc", "knn", "decision_tree"),
+                {
+                    "linear_svc": [{"C": 1.0}],
+                    "knn": [{"n_neighbors": k} for k in (1, 3, 5)],
+                    "decision_tree": [{"criterion": "entropy", "max_features": "sqrt"}],
+                },
+            ),
+            # a one-candidate CV that fails (folds train on 16 rows) while
+            # its early refit (20 rows) succeeds: the error stands
+            (("knn",), {"knn": [{"n_neighbors": 17}]}),
+        ],
+        ids=["one_kind", "mixed_kinds", "failed_cv"],
+    )
+    def test_one_candidate_refits_go_in_with_their_cv(self, kinds, candidates):
+        # held-out rows of overlapping classes, so test predictions depend
+        # on the refit's seed
+        y = np.repeat([0, 1], 10)
+        rng = np.random.default_rng(5)
+        X, X_test = (rng.normal(size=(y.size, 4)) + 0.5 * y[:, None] for _ in range(2))
+        kw = dict(kinds=kinds, candidates_by_kind=candidates, seed=6)
+        outcomes = [
+            _outcome(evaluate_kinds(X, y, X_test, y, **kw, jobs=jobs)) for jobs in (1, 2, 4)
+        ]
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+        errors, reports = outcomes[0]
+        if kinds == ("knn",):
+            assert errors == {"knn": "ValueError: n_neighbors=17 exceeds 16 training examples"}
+        else:
+            assert errors == {} and set(reports) == set(kinds)
+        assert multiprocessing.active_children() == []
+
     def test_error_is_the_first_in_task_order(self):
         # classes of 10 and 9 rows: folds 0-3 train on 15, fold 4 on 16, so
         # at jobs=4 the last chunk (fold 4 alone) fails with another message

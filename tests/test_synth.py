@@ -273,6 +273,24 @@ class TestGenerateDataset:
         with pytest.raises(ValueError):
             generate_dataset(quiet_scenario(), Simple4Scheme(), 1, seed=0)
 
+    @pytest.mark.parametrize("rows", [slice(0, 1), slice(5, 12), slice(11, 13), slice(29, None), slice(3, 26, 4)])
+    def test_rows_are_the_same_examples_as_in_the_whole_set(self, rows):
+        # example i draws from the i-th spawned stream wherever the block starts;
+        # a block may hold a single example of a class
+        sc = quiet_scenario(clutter_amplitude=0.2, clutter_path_count=4, noise_sigma=0.01)
+        whole = generate_dataset(sc, Grid10Scheme(), 3, seed=8)
+        block = generate_dataset(sc, Grid10Scheme(), 3, seed=8, rows=rows)
+        assert block.labels.tolist() == whole.labels[rows].tolist()
+        assert block.scans.tobytes() == whole.scans[rows].tobytes()
+        assert block.history.tobytes() == whole.history[rows].tobytes()
+
+    def test_example_stream_is_the_spawned_child(self):
+        children = seed_sequence(21).spawn(5)
+        for i, child in enumerate(children):
+            a = make_rng(21, i).normal(size=4)
+            b = np.random.Generator(np.random.PCG64(child)).normal(size=4)
+            assert a.tobytes() == b.tobytes()
+
 
 class TestValidation:
     def test_scenario_field_checks(self):

@@ -13,7 +13,8 @@ import os
 import numpy as np
 import pytest
 
-from radarml import modelsel
+from radarml import cli, modelsel
+from radarml.config import parse_config
 from radarml.estimators import GradientBoosting
 
 _TRACING = os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks", "tracing.py")
@@ -105,3 +106,30 @@ def test_worker_pool_runs_under_the_tracer(tracing):
         outcomes.append((result.errors, reports))
     assert outcomes[0] == outcomes[1]
     assert "exceeds" in outcomes[0][0]["knn"] and "decision_tree" in outcomes[0][1]
+
+
+def test_traced_generate_counts_every_scan_and_file(tracing, tmp_path, monkeypatch):
+    # blocks of 7 examples: each block is its own generate_dataset call,
+    # and the spans still add up to three scans per example
+    monkeypatch.setattr(cli, "_GROUP_BLOCK", 7)
+    config = parse_config(
+        {
+            "n_per_class": 50,
+            "scenarios": {"outdoor": {"environment": "outdoor", "noise_sigma": 0.001}},
+        }
+    )
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        assert cli.cmd_generate(config, str(tmp_path), None, 1) == cli.EXIT_OK
+    finally:
+        tracer.uninstall()
+    metrics = tracing.layer_metrics(tracer.spans)
+    assert metrics["synth.scans"] == 3 * (4 + 10) * 50
+    rds = sorted(n for n in os.listdir(tmp_path / "datasets") if n.endswith(".rds"))
+    saves = [span for span in tracer.spans if span[0] == "dataset.save"]
+    assert len(rds) == len(saves) == 2 * 6
+    assert metrics["cli.files_written"] == 2 * len(rds)
+    assert metrics["dataset.bytes_written"] == sum(os.path.getsize(tmp_path / "datasets" / n) for n in rds)
+    assert metrics["sigproc.derive_s.motion_filtered"] > 0.0
+    assert metrics["cli.generate_s"] > 0.0

@@ -5,8 +5,9 @@ Subcommands:
   run       tune and evaluate estimators on previously generated pairs
   report    rank estimators per dataset and rewrite the aggregate table
 
-Exit codes: 0 success, 2 configuration error, 3 missing or corrupt
-input, 4 estimator failure. Code 3 covers a dataset file or report that
+Exit codes: 0 success, 2 configuration error (including a config whose
+scans are so flat that standardization leaves a class fewer than two
+rows), 3 missing or corrupt input, 4 estimator failure. Code 3 covers a dataset file or report that
 is absent, a ``.rds`` file that is truncated or does not follow the
 documented layout (``run``), and a report JSON that does not parse or
 lacks a field the ranking reads (``report``); each prints one line to
@@ -122,7 +123,8 @@ def _generate_group(config: ExperimentConfig, keys, members, out_dir):
     and its kept rows go into one output per data type. Every example and
     row is computed on its own, so the files do not depend on the block
     size, and neither the group's raw triples nor a whole derived matrix
-    is ever built.
+    is ever built. Raises ``ConfigError``, before the group writes any
+    file, when a data type keeps fewer than two rows of some class.
     """
     written = []
     si, schi = keys
@@ -153,6 +155,14 @@ def _generate_group(config: ExperimentConfig, keys, members, out_dir):
             scans[dt][rows] = block.scans
             kept[dt][rows] = block.labels
             filled[dt] = rows.stop
+    for entry, _ in members:
+        dt = entry.data_type
+        # the split needs two rows of every class, one on each side
+        if np.bincount(kept[dt][: filled[dt]], minlength=scheme.n_classes).min() < 2:
+            raise ConfigError(
+                f"{entry.dataset_id}: standardization dropped {n - filled[dt]} of {n} examples "
+                "as constant, leaving a class with fewer than 2"
+            )
     for entry, dti in members:
         dt = entry.data_type
         derived = LabeledDataset(

@@ -8,6 +8,7 @@ by name so typos fail loudly instead of silently using defaults.
 
 from __future__ import annotations
 
+import math
 import typing
 from dataclasses import dataclass, fields
 
@@ -79,7 +80,15 @@ def _coerce(value, want, where):
     if want is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{where}: expected a number, got {value!r}")
-        return float(value)
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the float range
+            number = math.inf
+        # YAML's .nan and .inf parse as floats, and a comparison-only
+        # range check lets NaN through
+        if not math.isfinite(number):
+            raise ConfigError(f"{where}: expected a finite number, got {value!r}")
+        return number
     if want is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{where}: expected an integer, got {value!r}")
@@ -214,13 +223,12 @@ def parse_config(raw) -> ExperimentConfig:
 
     target_raw = merged["target"]
     _check_fields(target_raw, _TARGET_FIELDS, "target")
+    target_kwargs = {
+        key: _coerce(value, _TARGET_FIELDS[key], f"target.{key}")
+        for key, value in target_raw.items()
+    }
     try:
-        target = TargetParams(
-            **{
-                key: _coerce(value, _TARGET_FIELDS[key], f"target.{key}")
-                for key, value in target_raw.items()
-            }
-        )
+        target = TargetParams(**target_kwargs)
     except ValueError as exc:
         raise ConfigError(f"target: {exc}") from exc
 

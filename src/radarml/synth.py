@@ -19,13 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import LabeledDataset
-from .labeling import (
-    GRID10,
-    SIMPLE4,
-    Grid10Scheme,
-    LabelScheme,
-    Simple4Scheme,
-)
+from .labeling import Grid10Scheme, LabelScheme, Simple4Scheme
 from .seeding import make_rng
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
@@ -155,6 +149,40 @@ def _static_background(scenario: Scenario) -> np.ndarray:
     return background
 
 
+def _placement_bounds(scheme: LabelScheme, min_range: float) -> np.ndarray:
+    """(n_classes, 2, 2) array: per label, the (lo, hi) of its two placement
+    uniforms. Simple4 draws range and azimuth in the label's risk zone,
+    grid10 x and y in the label's cell. Row 0, no target, is NaN."""
+    if isinstance(scheme, Simple4Scheme):
+        edges = (min_range, scheme.r_high, scheme.r_med, scheme.r_low)
+        owned = [((edges[k], edges[k + 1]), (-np.pi / 2, np.pi / 2)) for k in range(3)]
+    elif isinstance(scheme, Grid10Scheme):
+        owned = [scheme.cell_bounds(*divmod(k, scheme.COLS)) for k in range(scheme.n_classes - 1)]
+    else:
+        raise TypeError(f"unknown labeling scheme: {scheme!r}")
+    bounds = np.full((scheme.n_classes, 2, 2), np.nan)
+    bounds[1:] = np.reshape(owned, (-1, 2, 2))
+    return bounds
+
+
+def _place(scheme: LabelScheme, bounds: np.ndarray, u: np.ndarray):
+    """(range_m, azimuth) of targets placed uniformly within ``bounds``,
+    one (2, 2) row of ``_placement_bounds`` per target, from two uniforms
+    in [0, 1) per target (``u``, the same shape without the last axis).
+
+    Each coordinate is ``lo + (hi - lo) * u``, the arithmetic of numpy's
+    ``uniform(lo, hi)``, so a target is the one that two ``uniform`` calls
+    on the same stream would place.
+    """
+    lo, hi = bounds[..., 0], bounds[..., 1]
+    if not np.all(lo < hi):
+        raise ValueError("min_range must lie below the high-risk boundary")
+    a, b = np.moveaxis(lo + (hi - lo) * u, -1, 0)
+    if isinstance(scheme, Simple4Scheme):
+        return a, b
+    return np.hypot(a, b), np.arctan2(b, a)
+
+
 def place_target_for_label(
     label: int,
     scheme: LabelScheme,
@@ -164,7 +192,8 @@ def place_target_for_label(
     jitter_sigma: float = DEFAULT_JITTER_SIGMA,
     min_range: float = DEFAULT_MIN_RANGE,
 ) -> TargetState:
-    """Uniform position inside the zone or cell owning ``label``.
+    """Uniform position inside the zone or cell owning ``label``, from
+    ``rng.random(2)``.
 
     Round-trips by construction: labeling the returned target under the
     same scheme gives back ``label``. Label 0 means no target and is
@@ -172,30 +201,10 @@ def place_target_for_label(
     """
     if label == 0:
         raise ValueError("label 0 means no target; nothing to place")
-    if isinstance(scheme, Simple4Scheme):
-        zones = {
-            1: (min_range, scheme.r_high),
-            2: (scheme.r_high, scheme.r_med),
-            3: (scheme.r_med, scheme.r_low),
-        }
-        if label not in zones:
-            raise ValueError(f"label {label} not valid for the {SIMPLE4} scheme")
-        lo, hi = zones[label]
-        if not lo < hi:
-            raise ValueError("min_range must lie below the high-risk boundary")
-        range_m = rng.uniform(lo, hi)
-        azimuth = rng.uniform(-np.pi / 2, np.pi / 2)
-    elif isinstance(scheme, Grid10Scheme):
-        if not 1 <= label <= 9:
-            raise ValueError(f"label {label} not valid for the {GRID10} scheme")
-        row, col = divmod(label - 1, scheme.COLS)
-        x_lo, x_hi, y_lo, y_hi = scheme.cell_bounds(row, col)
-        x = rng.uniform(x_lo, x_hi)
-        y = rng.uniform(y_lo, y_hi)
-        range_m = float(np.hypot(x, y))
-        azimuth = float(np.arctan2(y, x))
-    else:
-        raise TypeError(f"unknown labeling scheme: {scheme!r}")
+    bounds = _placement_bounds(scheme, min_range)
+    if not 0 < label < len(bounds):
+        raise ValueError(f"label {label} not valid for the {scheme.kind} scheme")
+    range_m, azimuth = _place(scheme, bounds[label], rng.random(2))
     return TargetState(
         range_m=float(range_m),
         azimuth=float(azimuth),
@@ -239,16 +248,29 @@ def generate_dataset(
 
     A scan is the static background plus, when a target is present, its
     echo centered at the two-way delay of the (jittered) range with
-    amplitude reflectivity / range**exponent, plus white noise. The
-    per-example loop only draws from the RNG, in a fixed order: the
-    placement, then per scan the jitter and the noise. The pulses are then
-    added in blocks of examples; each sample is still (background + echo)
-    + noise, as one scan at a time would sum it, so the result is the same
-    to the last bit. Raises if a target's nominal echo delay falls outside
-    the scan window.
+    amplitude reflectivity / range**exponent, plus white noise. Example
+    i's stream gives, in this order, the two placement uniforms (a target
+    example only), then per scan the jitter normal (a target example with
+    jitter only) and the scan's noise normals. The per-example loop takes
+    them in at most two calls, ``random`` for the uniforms and one
+    ``standard_normal`` block for the three scans, (3, 1 + bins) when the
+    jitter is interleaved and (3, bins) straight into the noise buffer
+    otherwise. numpy's ``uniform(lo, hi)`` and ``normal(0.0, sigma)`` are
+    ``lo + (hi - lo) * u`` and ``0.0 + sigma * z`` over the same ``random``
+    and ``standard_normal`` draws, so placement, jitter and noise are then
+    computed as arrays in exactly those operations, and the echo
+    amplitudes as one Python float power per echo. The pulses are added in
+    blocks of examples; each sample is still (background + echo) + noise,
+    as one scan at a time would sum it, so the result is the same to the
+    last bit as scan-by-scan synthesis. Raises if a target's nominal echo
+    delay falls outside the scan window.
     """
     if n_per_class < 2:
         raise ValueError("n_per_class must be at least 2")
+    if reflectivity <= 0:
+        raise ValueError("reflectivity must be positive")
+    if jitter_sigma < 0:
+        raise ValueError("jitter_sigma must be nonnegative")
     labels = balanced_labels(scheme, n_per_class)
     indices = range(labels.size)
     if rows is not None:
@@ -256,40 +278,49 @@ def generate_dataset(
     n_examples = labels.size
     n_bins = scenario.n_bins
     noisy = scenario.noise_sigma > 0
-    # scans t-2, t-1, t of each example; holds the noise until the blocks add the signal
+    jittered = jitter_sigma > 0
+    # scans t-2, t-1, t of each example; holds the standard normal noise
+    # until the blocks scale it and add the signal
     samples = np.empty((n_examples, 3, n_bins))
-    centers = np.zeros((n_examples, 3))
-    amplitudes = np.zeros((n_examples, 3))
+    u = np.empty((n_examples, 2))  # placement uniforms of the target examples
+    z_jitter = np.empty((n_examples, 3))  # per-scan jitter normals of the target examples
+    # one jittered target's normals: per scan the jitter, then the noise
+    draws = np.empty((3, 1 + n_bins if noisy else 1))
     for i, (example, label) in enumerate(zip(indices, labels)):
         rng = make_rng(seed, example)
-        target = None
         if label:
-            target = place_target_for_label(
-                int(label),
-                scheme,
-                rng,
-                reflectivity=reflectivity,
-                jitter_sigma=jitter_sigma,
-                min_range=min_range,
-            )
-            if scenario.delay_bins(target.range_m) >= n_bins:
-                raise ValueError(
-                    f"target at {target.range_m:.3f} m echoes beyond the "
-                    f"{scenario.window_m:.3f} m scan window"
-                )
-        for t in range(3):
-            if target is not None:
-                r = target.range_m
-                if target.jitter_sigma > 0:
-                    r = max(r + rng.normal(0.0, target.jitter_sigma), 1e-3)
-                centers[i, t] = scenario.delay_bins(r)
-                # a Python float power: numpy's array r**2.0 squares, which
-                # can round differently from pow
-                amplitudes[i, t] = target.reflectivity / r**scenario.amplitude_exponent
+            rng.random(out=u[i])
+        if label and jittered:
+            rng.standard_normal(out=draws)
+            z_jitter[i] = draws[:, 0]
             if noisy:
-                samples[i, t] = rng.normal(0.0, scenario.noise_sigma, n_bins)
-    background = _static_background(scenario)
+                samples[i] = draws[:, 1:]
+        elif noisy:
+            rng.standard_normal(out=samples[i])
     has_target = labels != 0
+    bounds = _placement_bounds(scheme, min_range)[labels[has_target]]
+    range_m, _ = _place(scheme, bounds, u[has_target])
+    if not np.all(range_m > 0):
+        raise ValueError("target range must be positive")
+    beyond = scenario.delay_bins(range_m) >= n_bins
+    if beyond.any():
+        raise ValueError(
+            f"target at {range_m[beyond.argmax()]:.3f} m echoes beyond the "
+            f"{scenario.window_m:.3f} m scan window"
+        )
+    ranges = np.repeat(range_m[:, None], 3, axis=1)
+    if jittered:
+        ranges = np.maximum(ranges + jitter_sigma * z_jitter[has_target], 1e-3)
+    centers = np.zeros((n_examples, 3))
+    amplitudes = np.zeros((n_examples, 3))
+    centers[has_target] = scenario.delay_bins(ranges)
+    # a Python float power per echo: numpy's array r**2.0 squares, which
+    # can round differently from pow
+    exponent = scenario.amplitude_exponent
+    amplitudes[has_target] = np.reshape(
+        [reflectivity / r**exponent for r in ranges.ravel().tolist()], ranges.shape
+    )
+    background = _static_background(scenario)
     for start in range(0, n_examples, _BLOCK):
         block = slice(start, start + _BLOCK)
         signal = np.broadcast_to(background, samples[block].shape).copy()
@@ -302,7 +333,10 @@ def generate_dataset(
             scenario.pulse_cycles_per_bin,
         )
         if noisy:
-            samples[block] += signal
+            noise = samples[block]
+            noise *= scenario.noise_sigma
+            noise += 0.0  # as normal(0.0, sigma) adds its loc: -0.0 becomes 0.0
+            noise += signal
         else:
             samples[block] = signal
     ds = LabeledDataset(

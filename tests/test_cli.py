@@ -268,6 +268,41 @@ class TestGenerate:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "noise, jitter, dropped",
+        [(0.0, 0.0, 200), (0.0, 0.06, 50)],
+        ids=["flat_triples", "flat_empty_scenes"],
+    )
+    def test_flat_motion_filter_exit_code(self, noise, jitter, dropped, tmp_path, capsys):
+        # without noise a static scene's triple differences to zero, and
+        # without jitter a target's does too: standardization drops them
+        cfg = dict(
+            TINY,
+            data_types=["raw", "baseband", "motion_filtered"],
+            scenarios={"outdoor": dict(TINY["scenarios"]["outdoor"], noise_sigma=noise)},
+            target={"jitter_sigma": jitter},
+        )
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        out = tmp_path / "o"
+        assert main(["generate", "--config", str(path), "--out", str(out), "--jobs", "1"]) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            f"configuration error: outdoor-simple4-motion_filtered: standardization dropped {dropped} "
+            "of 200 examples as constant, leaving a class with fewer than 2"
+        ]
+        assert not out.exists()  # not even the group's raw and baseband files
+
+    @pytest.mark.parametrize("field", ["noise_sigma", "amplitude_exponent"])
+    def test_non_finite_scenario_value_exit_code(self, field, tmp_path, capsys):
+        scenario = dict(TINY["scenarios"]["outdoor"], **{field: float("nan")})
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(dict(TINY, scenarios={"outdoor": scenario})))
+        out = tmp_path / "o"
+        assert main(["generate", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        assert f"scenarios.outdoor.{field}: expected a finite number, got nan" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "text, message",
         [
             (None, "cannot read config"),

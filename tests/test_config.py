@@ -1,7 +1,11 @@
+import re
+
 import pytest
 import yaml
 
 from radarml.config import (
+    _SCENARIO_FIELDS,
+    _TARGET_FIELDS,
     ConfigError,
     build_plan,
     load_config,
@@ -110,6 +114,39 @@ class TestValidation:
             with pytest.raises(ConfigError, match="target: "):
                 parse_config({"target": target})
         parse_config({"target": {"min_range": 0.99, "jitter_sigma": 0.0, "reflectivity": 1e-3}})
+
+    @pytest.mark.parametrize(
+        "text", [".nan", ".inf", "-.inf", "1" + "0" * 400], ids=["nan", "inf", "-inf", "huge_int"]
+    )
+    @pytest.mark.parametrize(
+        "block, field",
+        [("scenarios", f) for f, t in _SCENARIO_FIELDS.items() if t is float]
+        + [("target", f) for f in _TARGET_FIELDS],
+    )
+    def test_non_finite_floats_rejected_by_name(self, block, field, text):
+        # a NaN slips past every `<`/`>` range check; YAML writes it .nan
+        raw = yaml.safe_load(f"{field}: {text}")
+        if block == "scenarios":
+            raw = {"scenarios": {"o": {"environment": "outdoor", **raw}}}
+            where = f"scenarios.o.{field}"
+        else:
+            raw = {"target": raw}
+            where = f"target.{field}"
+        with pytest.raises(ConfigError, match=rf"^{re.escape(where)}: expected a finite number"):
+            parse_config(raw)
+
+    def test_every_float_field_is_covered(self):
+        floats = sorted(f for f, t in _SCENARIO_FIELDS.items() if t is float)
+        assert floats == [
+            "amplitude_exponent",
+            "bin_duration_ps",
+            "clutter_amplitude",
+            "direct_path_amplitude",
+            "noise_sigma",
+            "pulse_center_freq_hz",
+            "pulse_sigma_ps",
+        ]
+        assert sorted(_TARGET_FIELDS) == ["jitter_sigma", "min_range", "reflectivity"]
 
     def test_bad_scenario_value_wrapped(self):
         with pytest.raises(ConfigError):

@@ -83,13 +83,41 @@ def reference_scan(sc, target, rng):
     return samples
 
 
+def reference_place(label, scheme, rng, *, reflectivity=4.0, jitter_sigma=0.06, min_range=0.3):
+    """A target in the zone or cell of ``label`` from two ``uniform`` calls,
+    as the generator placed targets before it drew its uniforms as one
+    block; kept apart from ``place_target_for_label`` on purpose."""
+    if isinstance(scheme, Simple4Scheme):
+        zones = {
+            1: (min_range, scheme.r_high),
+            2: (scheme.r_high, scheme.r_med),
+            3: (scheme.r_med, scheme.r_low),
+        }
+        lo, hi = zones[label]
+        range_m = rng.uniform(lo, hi)
+        azimuth = rng.uniform(-np.pi / 2, np.pi / 2)
+    else:
+        row, col = divmod(label - 1, scheme.COLS)
+        x_lo, x_hi, y_lo, y_hi = scheme.cell_bounds(row, col)
+        x = rng.uniform(x_lo, x_hi)
+        y = rng.uniform(y_lo, y_hi)
+        range_m = float(np.hypot(x, y))
+        azimuth = float(np.arctan2(y, x))
+    return TargetState(
+        range_m=float(range_m),
+        azimuth=float(azimuth),
+        reflectivity=reflectivity,
+        jitter_sigma=jitter_sigma,
+    )
+
+
 def reference_targets(scheme, n_per_class, seed, **placement):
     """(label, target, rng) per example, the rng positioned after placement."""
     labels = np.repeat(np.arange(scheme.n_classes), n_per_class)
     children = seed_sequence(seed).spawn(labels.size)
     for label, child in zip(labels, children):
         rng = np.random.Generator(np.random.PCG64(child))
-        target = place_target_for_label(int(label), scheme, rng, **placement) if label else None
+        target = reference_place(int(label), scheme, rng, **placement) if label else None
         yield int(label), target, rng
 
 
@@ -222,7 +250,53 @@ class TestSynthesizedScans:
         assert not np.array_equal(a.scans[0], a.scans[1])
 
 
+class TestNumpyDrawIdentities:
+    """The numpy identities generate_dataset's draw layout rests on, each
+    over 1000 example streams. If a numpy release breaks one, it fails
+    here by name rather than as a changed dataset digest."""
+
+    STREAMS = 1000
+
+    def test_two_uniforms_are_one_random_pair(self):
+        lo, hi = np.array([0.3, -np.pi / 2]), np.array([1.0, np.pi / 2])
+        for i in range(self.STREAMS):
+            a, b = make_rng(17, i), make_rng(17, i)
+            want = [a.uniform(lo[0], hi[0]), a.uniform(lo[1], hi[1])]
+            got = lo + (hi - lo) * b.random(2)
+            assert got.tolist() == want
+            assert a.bit_generator.state == b.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "jittered, noise_bins",
+        [(True, 480), (True, 0), (False, 480)],
+        ids=["jitter_and_noise", "jitter_only", "noise_only"],
+    )
+    def test_per_scan_normals_are_one_standard_normal_block(self, jittered, noise_bins):
+        # generate_dataset adds jitter_sigma * z to a positive range, where
+        # the 0.0 + that normal() adds cannot change the sum
+        sigmas = np.array([0.06] * jittered + [0.05] * noise_bins)
+        for i in range(self.STREAMS):
+            a, b = make_rng(23, i), make_rng(23, i)
+            want = []
+            for _ in range(3):
+                if jittered:
+                    want.append(a.normal(0.0, sigmas[0]))
+                if noise_bins:
+                    want.extend(a.normal(0.0, sigmas[-1], noise_bins))
+            got = 0.0 + sigmas * b.standard_normal((3, sigmas.size))
+            assert got.tobytes() == np.array(want).tobytes()
+            assert a.bit_generator.state == b.bit_generator.state
+
+
 class TestPlacement:
+    @pytest.mark.parametrize("scheme", [Simple4Scheme(), Grid10Scheme()], ids=["simple4", "grid10"])
+    def test_equals_two_uniform_calls(self, scheme):
+        for i in range(1000):
+            label = 1 + i % (scheme.n_classes - 1)
+            want = reference_place(label, scheme, make_rng(31, i), min_range=0.5)
+            got = place_target_for_label(label, scheme, make_rng(31, i), min_range=0.5)
+            assert got == want
+
     @given(st.integers(1, 3), st.integers(0, 2**32))
     def test_simple4_round_trip(self, label, seed):
         scheme = Simple4Scheme()

@@ -60,6 +60,9 @@ _GEN_KEY = 301
 _SPLIT_KEY = 302
 _RUN_KEY = 303
 
+# Suffix of the YAML sidecar written next to each dataset file.
+_SIDECAR = ".meta.yaml"
+
 # Examples per block when a group is generated: a block's raw triples are
 # 2.9 MB at 480 bins and its derived and standardized rows 1 MB each.
 _GROUP_BLOCK = 256
@@ -165,7 +168,8 @@ def _generate_group(config: ExperimentConfig, keys, members, out_dir):
             )
     for entry, dti in members:
         dt = entry.data_type
-        derived = LabeledDataset(
+        # rows of standardized blocks, each finite by construction
+        derived = LabeledDataset._of_finite_samples(
             scans=scans[dt][: filled[dt]],
             labels=kept[dt][: filled[dt]],
             scheme=entry.scheme,
@@ -182,7 +186,7 @@ def _generate_group(config: ExperimentConfig, keys, members, out_dir):
             (te_idx, test_path, "test", os.path.basename(train_path)),
         ):
             save_dataset(derived, path, rows)
-            write_atomic(path + ".meta.yaml", _sidecar(derived, rows, entry, config, role, other))
+            write_atomic(path + _SIDECAR, _sidecar(derived, rows, entry, config, role, other))
             written.append(path)
     return written
 
@@ -193,6 +197,7 @@ def cmd_generate(config: ExperimentConfig, out_dir, data_types, jobs) -> int:
         si, schi, dti = _entry_keys(config, entry)
         members.setdefault((si, schi), []).append((entry, dti))
     groups = [(config, keys, group, out_dir) for keys, group in members.items()]
+    written, failures = [], []  # the finished groups' paths, the failed groups' errors
     if use_pool(jobs) and len(groups) > 1:
         # one group per task, those of the most classes (so examples) first,
         # so that the small ones fill in at the end
@@ -202,12 +207,29 @@ def cmd_generate(config: ExperimentConfig, out_dir, data_types, jobs) -> int:
                 g: pool.submit(_generate_group, *groups[g])
                 for g in sorted(range(len(groups)), key=lambda g: -classes[g])
             }
-            results = [futures[g].result() for g in range(len(groups))]
+        # leaving the pool waited for every group
+        for g in range(len(groups)):
+            failure = futures[g].exception()
+            if failure is None:
+                written += futures[g].result()
+            else:
+                failures.append(failure)
     else:
-        results = [_generate_group(*g) for g in groups]
-    for written in results:
+        for group in groups:
+            try:
+                written += _generate_group(*group)
+            except Exception as exc:
+                failures.append(exc)
+                break
+    if failures:
+        # a failed generate leaves no file of this run behind; the first
+        # failure in plan order is reported
         for path in written:
-            print(f"wrote {path}")
+            for name in (path, path + _SIDECAR):
+                os.remove(name)
+        raise failures[0]
+    for path in written:
+        print(f"wrote {path}")
     return EXIT_OK
 
 

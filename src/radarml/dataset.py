@@ -27,7 +27,7 @@ import io
 import os
 import struct
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -58,6 +58,13 @@ class LabeledDataset:
     n_dropped: int = 0  # examples removed as degenerate during derivation
 
     def __post_init__(self):
+        self._check_fields()
+        for samples in (self.scans, self.history):
+            if samples is not None and not np.all(np.isfinite(samples)):
+                raise ValueError("scan samples must all be finite")
+
+    def _check_fields(self):
+        """Every check of the constructor but the finiteness scan."""
         self.scans = np.asarray(self.scans, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
         if self.scans.ndim != 2:
@@ -66,12 +73,23 @@ class LabeledDataset:
             raise ValueError("labels length must match the number of scans")
         if self.data_type not in DATA_TYPES:
             raise ValueError(f"unknown data_type {self.data_type!r}")
-        if not np.all(np.isfinite(self.scans)):
-            raise ValueError("scan samples must all be finite")
         if self.history is not None:
             self.history = np.asarray(self.history, dtype=np.float64)
             if self.history.shape != (self.n_examples, 2, self.n_bins):
                 raise ValueError("history must have shape (n_examples, 2, n_bins)")
+
+    @classmethod
+    def _of_finite_samples(cls, **values) -> LabeledDataset:
+        """A dataset whose samples the caller knows to be finite: the
+        constructor's checks without its scan of every sample. Generation
+        checks each raw block once (``sigproc.sample_limit``); what is
+        derived, standardized and assembled from it is finite by
+        construction, and each caller says why. Omitted fields take their
+        defaults."""
+        ds = cls.__new__(cls)
+        ds.__dict__.update({f.name: f.default for f in fields(cls) if f.default is not MISSING}, **values)
+        ds._check_fields()
+        return ds
 
     @property
     def n_examples(self) -> int:

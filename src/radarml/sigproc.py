@@ -33,15 +33,32 @@ class DegenerateScanError(ValueError):
     """Scan with zero standard deviation; cannot be standardized."""
 
 
-def _as_finite(x, min_len: int = 1, max_ndim: int = 1) -> np.ndarray:
+def _as_samples(x, min_len: int = 1, max_ndim: int = 1) -> np.ndarray:
     v = np.asarray(x, dtype=np.float64)
     if not 1 <= v.ndim <= max_ndim:
         raise ValueError("expected a 1-D sample vector" if max_ndim == 1 else "expected a vector or a matrix")
     if v.shape[-1] < min_len:
         raise ValueError(f"sample vector must have at least {min_len} elements")
+    return v
+
+
+def _as_finite(x, min_len: int = 1, max_ndim: int = 1) -> np.ndarray:
+    v = _as_samples(x, min_len, max_ndim)
     if not np.all(np.isfinite(v)):
         raise ValueError("sample vector contains non-finite values")
     return v
+
+
+def sample_limit(n_bins: int) -> float:
+    """Largest sample magnitude L for which every value derived and
+    standardized from scans of ``n_bins`` samples is finite.
+
+    With m <= n_bins + 1 points, the envelope's FFT sums stay within
+    2 m^2 L, so envelopes (2 m L) and motion differences (4 L) are finite,
+    and so are a standardized row's sum and centred values. At 480 bins L
+    is about 1.9e302.
+    """
+    return float(np.finfo(np.float64).max) / (4.0 * (n_bins + 1) ** 2)
 
 
 def _row_blocks(X: np.ndarray):
@@ -62,7 +79,12 @@ def analytic_envelope(scan) -> np.ndarray:
     always equals the input shape. Rows shorter than 8 samples are
     rejected.
     """
-    x = _as_finite(scan, min_len=8, max_ndim=2)
+    return _envelope(_as_finite(scan, min_len=8, max_ndim=2))
+
+
+def _envelope(x: np.ndarray) -> np.ndarray:
+    """``analytic_envelope`` of samples whose shape is checked, without
+    the finiteness scan."""
     n = x.shape[-1]
     m = n + n % 2
     weights = np.zeros(m)
@@ -90,11 +112,16 @@ def motion_filter(scan_t, scan_t1, scan_t2) -> np.ndarray:
     if not (a.shape == b.shape == c.shape):
         raise ValueError("motion filter needs three scans of equal length")
     shape = a.shape
-    a, b, c = (s.reshape(-1, shape[-1]) for s in (a, b, c))
+    return _motion(*(s.reshape(-1, shape[-1]) for s in (a, b, c))).reshape(shape)
+
+
+def _motion(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """``motion_filter`` of three matrices of one shape, without the
+    finiteness scan."""
     out = np.empty(a.shape)
     for block in _row_blocks(out):
         out[block] = a[block] - 2.0 * b[block] + c[block]
-    return out.reshape(shape)
+    return out
 
 
 def standardize(x) -> np.ndarray:
@@ -134,9 +161,12 @@ def standardize_rows(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def standardize_dataset(ds: LabeledDataset) -> LabeledDataset:
     """Standardize every example of a dataset; degenerate rows are
-    dropped and counted in ``n_dropped``."""
+    dropped and counted in ``n_dropped``. As in ``derive_dataset``, the
+    result is not scanned for finiteness."""
     Z, kept = standardize_rows(ds.scans)
-    return LabeledDataset(
+    # rows derived from samples within sample_limit are finite, and so are
+    # their sums and (x - mean) / sigma, with sigma > 0 on every kept row
+    return LabeledDataset._of_finite_samples(
         scans=Z,
         labels=ds.labels[kept],
         scheme=ds.scheme,
@@ -154,18 +184,25 @@ def derive_dataset(raw: LabeledDataset, data_type: str) -> LabeledDataset:
     motion_filtered runs the second-order difference over the stored
     triple. Every example is kept: ``standardize_dataset`` drops the
     ones whose derived vector is constant.
+
+    The derived values are not scanned for finiteness: those of a dataset
+    (finite by its construction) whose samples lie within
+    ``sample_limit(n_bins)``, as generated ones are checked to, are finite.
     """
     if data_type not in DATA_TYPES:
         raise ValueError(f"unknown data_type {data_type!r}")
     if data_type == "raw":
         features = raw.scans
     elif data_type == "baseband":
-        features = analytic_envelope(raw.scans)
+        features = _envelope(_as_samples(raw.scans, min_len=8, max_ndim=2))
     else:
         if raw.history is None:
             raise ValueError("motion_filtered derivation needs the slow-time triples")
-        features = motion_filter(raw.scans, raw.history[:, 1], raw.history[:, 0])
-    return LabeledDataset(
+        features = _motion(raw.scans, raw.history[:, 1], raw.history[:, 0])
+    # a dataset's scans and history are finite (its constructor or the
+    # generator checked them), and within sample_limit so are the envelope
+    # and the motion difference
+    return LabeledDataset._of_finite_samples(
         scans=features,
         labels=raw.labels,
         scheme=raw.scheme,

@@ -14,13 +14,15 @@ left/right ambiguity of a single monostatic radar.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .dataset import LabeledDataset
 from .labeling import Grid10Scheme, LabelScheme, Simple4Scheme
-from .seeding import make_rng
+from .seeding import make_rng, make_rngs
+from .sigproc import sample_limit
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
@@ -36,6 +38,18 @@ _CLUTTER_EDGE_SIGMAS = 6.0
 # Examples per synthesis block: a block's pulse temporaries stay under 200 KB
 # each, so the block is summed in a core's cache.
 _BLOCK = 16
+
+
+def _check_finite(**values):
+    """Reject NaN and infinities by name: the range checks after this are
+    comparisons, which NaN passes silently."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def _check_float_fields(obj):
+    _check_finite(**{f.name: getattr(obj, f.name) for f in fields(obj) if f.type == "float"})
 
 
 @dataclass(frozen=True)
@@ -62,6 +76,7 @@ class Scenario:
     amplitude_exponent: float = 2.0  # echo amplitude = reflectivity / range**exponent
 
     def __post_init__(self):
+        _check_float_fields(self)
         if self.environment not in ("indoor", "outdoor"):
             raise ValueError(f"environment must be indoor or outdoor, got {self.environment!r}")
         if self.n_bins < 64:
@@ -103,6 +118,7 @@ class TargetState:
     jitter_sigma: float = 0.0  # meters of per-scan radial micro-motion
 
     def __post_init__(self):
+        _check_float_fields(self)
         if self.range_m <= 0:
             raise ValueError("target range must be positive")
         if not (-np.pi / 2 <= self.azimuth <= np.pi / 2):
@@ -238,7 +254,10 @@ def generate_dataset(
     filter can be derived downstream. Example i draws from its own RNG
     stream, ``make_rng(seed, i)``: the i-th child of
     ``seed_sequence(seed).spawn``, so generation is deterministic and
-    order-independent.
+    order-independent. The streams of a call's examples come from one
+    ``make_rngs(seed, indices)``, which computes the SeedSequence state of
+    every index as one array hash; PCG64 takes nothing else from a seed
+    sequence, so each stream is that child's to the last bit.
 
     ``rows``, a slice of example indices, synthesizes only those examples,
     each the same to the last bit as in the whole set, so a caller can
@@ -263,10 +282,15 @@ def generate_dataset(
     blocks of examples; each sample is still (background + echo) + noise,
     as one scan at a time would sum it, so the result is the same to the
     last bit as scan-by-scan synthesis. Raises if a target's nominal echo
-    delay falls outside the scan window.
+    delay falls outside the scan window, if an argument or scenario value
+    is not finite, or if a sample is not finite or exceeds
+    ``sigproc.sample_limit`` in magnitude. That check of the raw samples is
+    the only finiteness scan on the way to ``generate``'s files: what is
+    derived and standardized from them is finite by construction.
     """
     if n_per_class < 2:
         raise ValueError("n_per_class must be at least 2")
+    _check_finite(reflectivity=reflectivity, jitter_sigma=jitter_sigma, min_range=min_range)
     if reflectivity <= 0:
         raise ValueError("reflectivity must be positive")
     if jitter_sigma < 0:
@@ -286,8 +310,7 @@ def generate_dataset(
     z_jitter = np.empty((n_examples, 3))  # per-scan jitter normals of the target examples
     # one jittered target's normals: per scan the jitter, then the noise
     draws = np.empty((3, 1 + n_bins if noisy else 1))
-    for i, (example, label) in enumerate(zip(indices, labels)):
-        rng = make_rng(seed, example)
+    for i, (rng, label) in enumerate(zip(make_rngs(seed, indices), labels)):
         if label:
             rng.random(out=u[i])
         if label and jittered:
@@ -339,7 +362,12 @@ def generate_dataset(
             noise += signal
         else:
             samples[block] = signal
-    ds = LabeledDataset(
+    # the one finiteness check of generated data: every later value is
+    # computed from these samples and finite by construction
+    limit = sample_limit(n_bins)
+    if not (np.min(samples, initial=0.0) >= -limit and np.max(samples, initial=0.0) <= limit):
+        raise ValueError(f"scan samples must all be finite and within ±{limit:.3g}")
+    ds = LabeledDataset._of_finite_samples(
         scans=samples[:, 2],
         labels=labels,
         scheme=scheme.kind,

@@ -18,7 +18,7 @@ from radarml.cli import (
     aggregate_rows,
     main,
 )
-from radarml.config import ConfigError, build_plan, parse_config
+from radarml.config import DEFAULT_CONFIG, ConfigError, build_plan, parse_config
 from radarml.dataset import save_dataset
 from radarml.modelsel import stratified_split
 from radarml.seeding import derive_seed
@@ -291,6 +291,41 @@ class TestGenerate:
             "of 200 examples as constant, leaving a class with fewer than 2"
         ]
         assert not out.exists()  # not even the group's raw and baseband files
+
+    @pytest.mark.parametrize(
+        "order, schemes",
+        [
+            (["outdoor", "indoor"], ["simple4", "grid10"]),  # fails third and fourth of four
+            (["outdoor", "indoor"], ["simple4"]),  # fails last
+            (["indoor", "outdoor"], ["simple4", "grid10"]),  # fails first and second
+        ],
+        ids=["middle", "last", "first"],
+    )
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_a_failed_group_leaves_no_file_of_the_run(self, order, schemes, jobs, tmp_path, capsys):
+        # the default scenarios, but without noise or jitter the indoor
+        # triples are flat, so their motion-filtered sets lose every row;
+        # the outdoor groups succeed
+        scenarios = dict(DEFAULT_CONFIG["scenarios"])
+        scenarios["indoor"] = dict(scenarios["indoor"], noise_sigma=0.0)
+        cfg = {
+            "n_per_class": 60,
+            "target": {"jitter_sigma": 0.0},
+            "scenarios": {name: scenarios[name] for name in order},
+            "schemes": schemes,
+        }
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(cfg, sort_keys=False))  # scenarios in plan order
+        out = tmp_path / "o"
+        assert main(["generate", "--config", str(path), "--out", str(out), "--jobs", jobs]) == EXIT_CONFIG
+        assert multiprocessing.active_children() == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "configuration error: indoor-simple4-motion_filtered: standardization dropped 240 of 240 "
+            "examples as constant, leaving a class with fewer than 2"
+        ]
+        assert [files for _, _, files in os.walk(out) if files] == []
 
     @pytest.mark.parametrize("field", ["noise_sigma", "amplitude_exponent"])
     def test_non_finite_scenario_value_exit_code(self, field, tmp_path, capsys):

@@ -83,6 +83,35 @@ class TestContainer:
         with pytest.raises(ValueError):
             LabeledDataset(np.zeros((2, 4)), np.zeros(2, dtype=int), "simple4", "fft", "x")
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_history_rejected(self, value):
+        # derivation trusts a dataset's scans and history to be finite
+        history = np.zeros((2, 2, 4))
+        history[1, 0, 3] = value
+        with pytest.raises(ValueError, match="scan samples must all be finite"):
+            LabeledDataset(np.zeros((2, 4)), np.zeros(2, dtype=int), "simple4", "raw", "x", history=history)
+
+    def test_unscanned_path_keeps_every_other_check(self):
+        # the private path that callers with finite samples use
+        ds = LabeledDataset._of_finite_samples(
+            scans=[[1, 2], [3, 4]], labels=[0.0, 1.0], scheme="simple4", data_type="raw", scenario_id="x"
+        )
+        assert ds.scans.dtype == np.float64 and ds.labels.dtype == np.int64
+        assert ds.history is None and ds.n_dropped == 0
+        with pytest.raises(ValueError, match="labels length"):
+            LabeledDataset._of_finite_samples(
+                scans=np.zeros((2, 4)), labels=np.zeros(3), scheme="simple4", data_type="raw", scenario_id="x"
+            )
+        with pytest.raises(ValueError, match="history must have shape"):
+            LabeledDataset._of_finite_samples(
+                scans=np.zeros((2, 4)),
+                labels=np.zeros(2),
+                scheme="simple4",
+                data_type="raw",
+                scenario_id="x",
+                history=np.zeros((2, 2, 5)),
+            )
+
 
 class TestValidateLabels:
     def test_valid_dataset_passes(self):

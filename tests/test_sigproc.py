@@ -260,6 +260,28 @@ class TestDeriveDataset:
         with pytest.raises(ValueError):
             derive_dataset(raw, "spectrogram")
 
+    @pytest.mark.parametrize("n_bins", [8, 64, 480, 481])
+    def test_samples_within_the_limit_derive_finite_values(self, n_bins):
+        # derivation and standardization do not scan their results, so
+        # samples at the generation limit must not overflow: constant rows
+        # give the largest FFT sums, alternating ones the largest differences
+        limit = sigproc.sample_limit(n_bins)
+        sign = np.where(np.arange(n_bins) % 2, -1.0, 1.0)
+        scans = limit * np.stack([np.ones(n_bins), sign, -sign, np.linspace(-1.0, 1.0, n_bins)])
+        history = np.stack([-scans, scans], axis=1)
+        raw = LabeledDataset(scans, [0, 1, 2, 3], "simple4", "raw", "x", history=history)
+        for data_type in ("raw", "baseband", "motion_filtered"):
+            derived = derive_dataset(raw, data_type)
+            assert np.all(np.isfinite(derived.scans)), data_type
+            with np.errstate(over="ignore"):  # a squared deviation may overflow: sigma is inf, z is 0
+                standardized = standardize_dataset(derived)
+            assert np.all(np.isfinite(standardized.scans)), data_type
+
+    def test_envelope_of_short_rows_rejected(self):
+        short = LabeledDataset(np.ones((2, 7)), [0, 1], "simple4", "raw", "x")
+        with pytest.raises(ValueError, match="at least 8 elements"):
+            derive_dataset(short, "baseband")
+
 
 # ---------------------------------------------------------------------------
 # reference for derivation plus standardization as two passes with two

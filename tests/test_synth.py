@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from radarml import synth
 from radarml.labeling import Grid10Scheme, Simple4Scheme, label_of
 from radarml.seeding import make_rng, seed_sequence
 from radarml.synth import (
@@ -365,6 +366,30 @@ class TestGenerateDataset:
             b = np.random.Generator(np.random.PCG64(child)).normal(size=4)
             assert a.tobytes() == b.tobytes()
 
+    def test_streams_are_made_once_per_call(self, monkeypatch):
+        calls = []
+        for name in ("make_rng", "make_rngs"):
+            real = getattr(synth, name)
+            monkeypatch.setattr(
+                synth, name, lambda *a, real=real, name=name: calls.append((name, *a)) or real(*a)
+            )
+        sc = quiet_scenario(clutter_amplitude=0.2, clutter_path_count=4, noise_sigma=0.01, seed=4)
+        generate_dataset(sc, Grid10Scheme(), 3, seed=8, rows=slice(5, 12))
+        # the clutter's one stream, then every example's in one call
+        assert calls == [("make_rngs", 8, range(5, 12)), ("make_rng", 4, 0)]
+
+    # echoes of 1e303 / range**2 exceed the limit at 480 bins; 1e308 / 0.09 is inf
+    @pytest.mark.parametrize("reflectivity", [1e303, 1e308])
+    def test_samples_beyond_the_limit_rejected(self, reflectivity):
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match=r"finite and within ±1.94e\+302"):
+            generate_dataset(quiet_scenario(), Simple4Scheme(), 2, seed=0, reflectivity=reflectivity)
+
+    def test_huge_samples_within_the_limit_accepted(self):
+        # echoes of 4 / range**300: as at a 480-bin scan's limit, finite
+        # derived values are left to standardization's own checks
+        ds = generate_dataset(quiet_scenario(amplitude_exponent=300.0), Simple4Scheme(), 2, seed=0)
+        assert np.abs(ds.scans).max() > 1e40
+
 
 class TestValidation:
     def test_scenario_field_checks(self):
@@ -374,6 +399,37 @@ class TestValidation:
             quiet_scenario(noise_sigma=-0.1)
         with pytest.raises(ValueError):
             quiet_scenario(n_bins=32)
+
+    # every float field of a Scenario; a range check alone lets NaN through
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "noise_sigma",
+            "bin_duration_ps",
+            "clutter_amplitude",
+            "direct_path_amplitude",
+            "pulse_center_freq_hz",
+            "pulse_sigma_ps",
+            "amplitude_exponent",
+        ],
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_scenario_field_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} must be finite, got {value!r}$"):
+            quiet_scenario(**{field: value})
+
+    @pytest.mark.parametrize("field", ["range_m", "azimuth", "reflectivity", "jitter_sigma"])
+    def test_non_finite_target_field_rejected_by_name(self, field):
+        values = {"range_m": 1.0, "azimuth": 0.0, field: math.nan}
+        with pytest.raises(ValueError, match=rf"^{field} must be finite, got nan$"):
+            TargetState(**values)
+
+    @pytest.mark.parametrize("param", ["reflectivity", "jitter_sigma", "min_range"])
+    @pytest.mark.parametrize("scheme", [Simple4Scheme(), Grid10Scheme()], ids=["simple4", "grid10"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_generation_argument_rejected_by_name(self, param, scheme, value):
+        with pytest.raises(ValueError, match=rf"^{param} must be finite, got {value!r}$"):
+            generate_dataset(quiet_scenario(noise_sigma=0.01), scheme, 2, seed=0, **{param: value})
 
     def test_target_field_checks(self):
         with pytest.raises(ValueError):

@@ -2,16 +2,7 @@
 processing, from-scratch estimators, and reproducible experiments."""
 
 from .dataset import DATA_TYPES, DatasetFormatError, LabeledDataset, load_dataset, save_dataset
-from .labeling import (
-    GRID10,
-    N_CLASSES,
-    SIMPLE4,
-    Grid10Scheme,
-    Simple4Scheme,
-    grid_label,
-    label_of,
-    simple_label,
-)
+from .labeling import GRID10, N_CLASSES, SIMPLE4, Grid10Scheme, Simple4Scheme
 from .sigproc import (
     DegenerateScanError,
     analytic_envelope,
@@ -20,14 +11,7 @@ from .sigproc import (
     standardize,
     standardize_dataset,
 )
-from .synth import (
-    SPEED_OF_LIGHT,
-    Scenario,
-    TargetState,
-    generate_dataset,
-    place_target_for_label,
-    pulse_samples,
-)
+from .synth import SPEED_OF_LIGHT, Scenario, generate_dataset, pulse_samples
 
 __version__ = "0.1.0"
 
@@ -43,9 +27,6 @@ __all__ = [
     "N_CLASSES",
     "Grid10Scheme",
     "Simple4Scheme",
-    "grid_label",
-    "simple_label",
-    "label_of",
     "DegenerateScanError",
     "analytic_envelope",
     "motion_filter",
@@ -54,8 +35,6 @@ __all__ = [
     "derive_dataset",
     "SPEED_OF_LIGHT",
     "Scenario",
-    "TargetState",
     "pulse_samples",
-    "place_target_for_label",
     "generate_dataset",
 ]

@@ -6,8 +6,9 @@ Subcommands:
   report    rank estimators per dataset and rewrite the aggregate table
 
 Exit codes: 0 success, 2 configuration error (including a config whose
-scans are so flat that standardization leaves a class fewer than two
-rows), 3 missing or corrupt input, 4 estimator failure. Code 3 covers a dataset file or report that
+scan samples leave the sample limit, or whose scans are so flat that
+standardization leaves a class fewer than two rows), 3 missing or corrupt
+input, 4 estimator failure. Code 3 covers a dataset file or report that
 is absent, a ``.rds`` file that is truncated or does not follow the
 documented layout (``run``), and a report JSON that does not parse or
 lacks a field the ranking reads (``report``); each prints one line to
@@ -127,7 +128,9 @@ def _generate_group(config: ExperimentConfig, keys, members, out_dir):
     row is computed on its own, so the files do not depend on the block
     size, and neither the group's raw triples nor a whole derived matrix
     is ever built. Raises ``ConfigError``, before the group writes any
-    file, when a data type keeps fewer than two rows of some class.
+    file, when the config's scans leave the sample limit
+    (``generate_dataset``'s ``ValueError``) or a data type keeps fewer
+    than two rows of some class.
     """
     written = []
     si, schi = keys
@@ -142,16 +145,20 @@ def _generate_group(config: ExperimentConfig, keys, members, out_dir):
     filled = dict.fromkeys(data_types, 0)
     seed = derive_seed(config.seed, _GEN_KEY, si, schi)
     for start in range(0, n, _GROUP_BLOCK):
-        raw = generate_dataset(
-            first.scenario,
-            scheme,
-            config.n_per_class,
-            seed,
-            reflectivity=config.target.reflectivity,
-            jitter_sigma=config.target.jitter_sigma,
-            min_range=config.target.min_range,
-            rows=slice(start, start + _GROUP_BLOCK),
-        )
+        try:
+            raw = generate_dataset(
+                first.scenario,
+                scheme,
+                config.n_per_class,
+                seed,
+                reflectivity=config.target.reflectivity,
+                jitter_sigma=config.target.jitter_sigma,
+                min_range=config.target.min_range,
+                rows=slice(start, start + _GROUP_BLOCK),
+            )
+        except ValueError as exc:  # every argument comes from the config
+            names = ", ".join(entry.dataset_id for entry, _ in members)
+            raise ConfigError(f"{names}: {exc}") from None
         for dt in data_types:
             block = standardize_dataset(derive_dataset(raw, dt))
             rows = slice(filled[dt], filled[dt] + block.n_examples)

@@ -287,10 +287,6 @@ def read_config(path) -> dict:
     return raw
 
 
-def load_config(path) -> ExperimentConfig:
-    return parse_config(read_config(path))
-
-
 def build_plan(config: ExperimentConfig, out_dir=".", data_types=None) -> ExperimentPlan:
     """Expand a config into dataset runs, optionally filtered by data type.
 

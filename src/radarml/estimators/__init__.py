@@ -3,10 +3,10 @@
 Everything is trained from scratch on numpy; no external ML library is
 involved. ``ESTIMATOR_CLASSES`` maps each kind to its class, whose
 constructor takes the kind's grid axes plus ``seed``. Every class follows
-the contract of ``base.Classifier``: ``fitted`` names the state ``fit``
-sets beyond ``classes_`` and ``n_features_``, ``staged_param`` and
-``n_stages`` say how many fits one fit holds, ``staged_predict`` predicts
-for each of them, and ``fit_together`` fits several models at once.
+the contract of ``base.Classifier``: ``fit`` sets ``classes_`` and
+``n_features_``, ``staged_param`` and ``n_stages`` say how many fits one
+fit holds, ``staged_predict`` predicts for each of them, and
+``fit_together`` fits several models at once.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .grids import (
     grid_size,
     validate_params,
 )
-from .io import ModelFormatError, load_model, save_model
 from .linear import LinearSVC, LogisticRegression, Perceptron
 from .metrics import accuracy_percent, confusion_matrix
 from .neighbors import KNearestNeighbors
@@ -36,9 +35,6 @@ __all__ = [
     "validate_params",
     "accuracy_percent",
     "confusion_matrix",
-    "save_model",
-    "load_model",
-    "ModelFormatError",
     "ESTIMATOR_CLASSES",
     "LogisticRegression",
     "Perceptron",

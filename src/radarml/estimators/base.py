@@ -48,17 +48,15 @@ def check_predict_input(model, X) -> np.ndarray:
 class Classifier:
     """What every estimator shares.
 
-    ``fit`` sets ``classes_``, ``n_features_`` and each attribute named in
-    ``fitted``, which is all a saved model needs beyond its constructor
-    params. Every model is staged: ``_staged_codes`` yields the class codes
-    of ``n_stages`` fits, where stage s is what a fit with
-    ``staged_param`` = s would predict. A class without a ``staged_param``
-    has one stage, the codes of its ``_predict_codes``. ``fit_together``
-    fits several models, each on its own data, as their own ``fit`` would;
-    cross-validation fits its folds through it.
+    ``fit`` sets ``classes_`` and ``n_features_``. Every model is staged:
+    ``_staged_codes`` yields the class codes of ``n_stages`` fits, where
+    stage s is what a fit with ``staged_param`` = s would predict. A class
+    without a ``staged_param`` has one stage, the codes of its
+    ``_predict_codes``. ``fit_together`` fits several models, each on its
+    own data, as their own ``fit`` would; cross-validation fits its folds
+    through it.
     """
 
-    fitted = ()
     staged_param = None
 
     @property

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..seeding import seed_sequence
-from .base import Classifier, check_predict_input, encode_training_data
+from .base import Classifier, encode_training_data
 from .tree import CRITERIA, grow_classification, grow_regression, presort, tree_apply
 
 
@@ -26,8 +26,6 @@ def _majority_vote(trees, X, n_classes):
 
 
 class _BaseForest(Classifier):
-    fitted = ("trees_",)
-
     def __init__(self, n_estimators=16, criterion="gini", max_features="auto", seed=0):
         if int(n_estimators) < 1:
             raise ValueError("n_estimators must be >= 1")
@@ -99,7 +97,6 @@ class GradientBoosting(Classifier):
     """
 
     kind = "gradient_boosting"
-    fitted = ("init_scores_", "train_deviance_", "stages_")
     # An n-stage fit holds every smaller fit exactly and ignores the seed,
     # so one fit per fold can score each n_estimators up to n.
     staged_param = "n_estimators"
@@ -150,22 +147,14 @@ class GradientBoosting(Classifier):
         self.train_deviance_ = np.asarray(deviances)
         return self
 
-    def staged_decision_function(self, X):
-        """Scores after each stage, as one array updated in place between
-        yields; the scores after stage s are those of an s-stage fit.
-        ``X`` is checked before the first is computed."""
-        return self._staged_scores(check_predict_input(self, X))
-
     def _staged_scores(self, X):
+        """Scores after each stage, as one array updated in place between
+        yields; the scores after stage s are those of an s-stage fit."""
         F = np.tile(self.init_scores_, (X.shape[0], 1))
         for stage in self.stages_:
             for k, nodes in enumerate(stage):
                 F[:, k] += self.learning_rate * tree_apply(nodes, X)
             yield F
-
-    def decision_function(self, X):
-        *_, F = self.staged_decision_function(X)
-        return F
 
     def _staged_codes(self, X):
         for F in self._staged_scores(X):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..seeding import make_rng
-from .base import Classifier, check_predict_input, encode_training_data
+from .base import Classifier, encode_training_data
 
 _LBFGS_MEMORY = 10
 _ARMIJO_C1 = 1e-4
@@ -214,13 +214,8 @@ def _solve_newton_cg(Xa, Y, lam, tol, max_iter):
 class _LinearClassifier(Classifier):
     """Scores ``X @ coef_.T + intercept_``, one column per class."""
 
-    fitted = ("coef_", "intercept_")
-
     def _scores(self, X):
         return X @ self.coef_.T + self.intercept_
-
-    def decision_function(self, X):
-        return self._scores(check_predict_input(self, X))
 
     def _predict_codes(self, X):
         return np.argmax(self._scores(X), axis=1)
@@ -230,7 +225,6 @@ class LogisticRegression(_LinearClassifier):
     """Softmax regression with L2 strength 1/C."""
 
     kind = "logistic_regression"
-    fitted = ("coef_", "intercept_", "n_iter_", "converged_")
 
     def __init__(self, C=1.0, solver="lbfgs", tol=1e-5, max_iter=500, seed=0):
         if C <= 0:
@@ -261,9 +255,6 @@ class LogisticRegression(_LinearClassifier):
         self.coef_ = theta[:, :-1]
         self.intercept_ = theta[:, -1]
         return self
-
-    def predict_proba(self, X):
-        return _softmax_rows(self.decision_function(X))
 
 
 def _perceptron_lockstep(fits, lr, decay):
@@ -358,7 +349,6 @@ class Perceptron(_LinearClassifier):
     """
 
     kind = "perceptron"
-    fitted = ("coef_", "intercept_", "n_iter_", "converged_")
 
     def __init__(self, alpha=0.0001, lr=1.0, max_epochs=100, seed=0):
         if alpha < 0:

@@ -27,7 +27,6 @@ class KNearestNeighbors(Classifier):
     """
 
     kind = "knn"
-    fitted = ("_X", "_codes")
     # The k nearest neighbors are the first k of one stable sort, so one fit
     # scores every n_neighbors up to its own.
     staged_param = "n_neighbors"

@@ -412,7 +412,6 @@ class DecisionTree(Classifier):
     """
 
     kind = "decision_tree"
-    fitted = ("nodes_",)
 
     def __init__(self, criterion="gini", max_features="auto", seed=0, splitter="best", max_depth=None):
         if criterion not in CRITERIA:

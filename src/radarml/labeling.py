@@ -1,4 +1,4 @@
-"""Class-label constructions mapping a target position (or absence) to a label.
+"""Class-label schemes: the risk zone or grid cell that each label stands for.
 
 Two labelings are supported. ``Simple4Scheme`` grades collision risk by
 radial distance into four classes; ``Grid10Scheme`` assigns one label per
@@ -11,10 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Union
-
-if TYPE_CHECKING:
-    from .synth import TargetState
+from typing import Union
 
 SIMPLE4 = "simple4"
 GRID10 = "grid10"
@@ -96,47 +93,3 @@ class Grid10Scheme:
 LabelScheme = Union[Simple4Scheme, Grid10Scheme]
 
 N_CLASSES = {SIMPLE4: 4, GRID10: 10}
-
-
-def simple_label(target: Optional["TargetState"], scheme: Simple4Scheme) -> int:
-    """Risk-zone label in {0, 1, 2, 3} for an optional target."""
-    if target is None:
-        return 0
-    r = target.range_m
-    if r < scheme.r_high:
-        return 1
-    if r < scheme.r_med:
-        return 2
-    if r < scheme.r_low:
-        return 3
-    return 0
-
-
-def grid_label(target: Optional["TargetState"], scheme: Grid10Scheme) -> int:
-    """Grid-cell label in {0..9}; targets outside the 3x3 extent map to 0.
-
-    The cell is found from the target's Cartesian position; numbering is
-    row-major starting at the nearest-left cell (label 1).
-    """
-    if target is None:
-        return 0
-    x = target.range_m * math.cos(target.azimuth)
-    y = target.range_m * math.sin(target.azimuth)
-    x_lo = scheme.origin_range
-    y_lo = -0.5 * scheme.COLS * scheme.cell_width
-    if not (x_lo <= x < x_lo + scheme.ROWS * scheme.cell_depth):
-        return 0
-    if not (y_lo <= y < y_lo + scheme.COLS * scheme.cell_width):
-        return 0
-    row = min(int((x - x_lo) / scheme.cell_depth), scheme.ROWS - 1)
-    col = min(int((y - y_lo) / scheme.cell_width), scheme.COLS - 1)
-    return 1 + row * scheme.COLS + col
-
-
-def label_of(target: Optional["TargetState"], scheme: LabelScheme) -> int:
-    """Label under either scheme."""
-    if isinstance(scheme, Simple4Scheme):
-        return simple_label(target, scheme)
-    if isinstance(scheme, Grid10Scheme):
-        return grid_label(target, scheme)
-    raise TypeError(f"unknown labeling scheme: {scheme!r}")

@@ -51,14 +51,21 @@ def _as_finite(x, min_len: int = 1, max_ndim: int = 1) -> np.ndarray:
 
 def sample_limit(n_bins: int) -> float:
     """Largest sample magnitude L for which every value derived and
-    standardized from scans of ``n_bins`` samples is finite.
+    standardized from scans of ``n_bins`` = n samples is finite, the
+    squared deviations of standardization and their sum included.
 
-    With m <= n_bins + 1 points, the envelope's FFT sums stay within
-    2 m^2 L, so envelopes (2 m L) and motion differences (4 L) are finite,
-    and so are a standardized row's sum and centred values. At 480 bins L
-    is about 1.9e302.
+    Let F be the largest float. Every derived value lies within
+    D = 2 (n + 1) L: a raw sample within L, a motion difference within
+    4 L, and an envelope within 2 m L, where m <= n + 1 is the transform
+    length, since each spectrum value is a sum of m samples, at most
+    doubled, and each inverse value a mean of m of those (whose sum,
+    2 m^2 L, is far below F at this L). Standardization centres a row,
+    so each deviation lies within 2 D, its square within 4 D^2, and the
+    sum of a row's n squares within 4 n D^2. That sum is at most F when
+    D = sqrt(F / (4 n)), so L = sqrt(F / (4 n)) / (2 (n + 1)): about
+    3.2e149 at 480 bins.
     """
-    return float(np.finfo(np.float64).max) / (4.0 * (n_bins + 1) ** 2)
+    return float(np.sqrt(np.finfo(np.float64).max / (4.0 * n_bins))) / (2.0 * (n_bins + 1))
 
 
 def _row_blocks(X: np.ndarray):

@@ -7,9 +7,8 @@ target wiggles radially between successive slow-time scans (micro-motion
 jitter), which is what a slow-time difference filter latches onto; the
 clutter never moves.
 
-The synthesized scan depends on the target's range only. Azimuth is
-carried in ``TargetState`` purely for labeling, reproducing the inherent
-left/right ambiguity of a single monostatic radar.
+The synthesized scan depends on the target's range only: the azimuth
+of a placement decides a grid10 label but never reaches the scan.
 """
 
 from __future__ import annotations
@@ -48,10 +47,6 @@ def _check_finite(**values):
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
-def _check_float_fields(obj):
-    _check_finite(**{f.name: getattr(obj, f.name) for f in fields(obj) if f.type == "float"})
-
-
 @dataclass(frozen=True)
 class Scenario:
     """Per-environment synthesis configuration.
@@ -76,7 +71,7 @@ class Scenario:
     amplitude_exponent: float = 2.0  # echo amplitude = reflectivity / range**exponent
 
     def __post_init__(self):
-        _check_float_fields(self)
+        _check_finite(**{f.name: getattr(self, f.name) for f in fields(self) if f.type == "float"})
         if self.environment not in ("indoor", "outdoor"):
             raise ValueError(f"environment must be indoor or outdoor, got {self.environment!r}")
         if self.n_bins < 64:
@@ -108,25 +103,6 @@ class Scenario:
     def delay_bins(self, range_m: float) -> float:
         """Two-way echo delay for a range, in (fractional) fast-time bins."""
         return 2.0 * range_m / SPEED_OF_LIGHT / (self.bin_duration_ps * 1e-12)
-
-
-@dataclass(frozen=True)
-class TargetState:
-    range_m: float
-    azimuth: float  # radians in [-pi/2, pi/2]; never observable in the scan
-    reflectivity: float = DEFAULT_REFLECTIVITY
-    jitter_sigma: float = 0.0  # meters of per-scan radial micro-motion
-
-    def __post_init__(self):
-        _check_float_fields(self)
-        if self.range_m <= 0:
-            raise ValueError("target range must be positive")
-        if not (-np.pi / 2 <= self.azimuth <= np.pi / 2):
-            raise ValueError("azimuth must lie in [-pi/2, pi/2]")
-        if self.reflectivity <= 0:
-            raise ValueError("reflectivity must be positive")
-        if self.jitter_sigma < 0:
-            raise ValueError("jitter_sigma must be nonnegative")
 
 
 def pulse_samples(
@@ -199,36 +175,6 @@ def _place(scheme: LabelScheme, bounds: np.ndarray, u: np.ndarray):
     return np.hypot(a, b), np.arctan2(b, a)
 
 
-def place_target_for_label(
-    label: int,
-    scheme: LabelScheme,
-    rng: np.random.Generator,
-    *,
-    reflectivity: float = DEFAULT_REFLECTIVITY,
-    jitter_sigma: float = DEFAULT_JITTER_SIGMA,
-    min_range: float = DEFAULT_MIN_RANGE,
-) -> TargetState:
-    """Uniform position inside the zone or cell owning ``label``, from
-    ``rng.random(2)``.
-
-    Round-trips by construction: labeling the returned target under the
-    same scheme gives back ``label``. Label 0 means no target and is
-    rejected here.
-    """
-    if label == 0:
-        raise ValueError("label 0 means no target; nothing to place")
-    bounds = _placement_bounds(scheme, min_range)
-    if not 0 < label < len(bounds):
-        raise ValueError(f"label {label} not valid for the {scheme.kind} scheme")
-    range_m, azimuth = _place(scheme, bounds[label], rng.random(2))
-    return TargetState(
-        range_m=float(range_m),
-        azimuth=float(azimuth),
-        reflectivity=reflectivity,
-        jitter_sigma=jitter_sigma,
-    )
-
-
 def balanced_labels(scheme: LabelScheme, n_per_class: int) -> np.ndarray:
     """Labels of a balanced set: ``n_per_class`` examples of each class,
     in class order."""
@@ -284,7 +230,8 @@ def generate_dataset(
     last bit as scan-by-scan synthesis. Raises if a target's nominal echo
     delay falls outside the scan window, if an argument or scenario value
     is not finite, or if a sample is not finite or exceeds
-    ``sigproc.sample_limit`` in magnitude. That check of the raw samples is
+    ``sigproc.sample_limit`` in magnitude, as when range**amplitude_exponent
+    leaves the float range. That check of the raw samples is
     the only finiteness scan on the way to ``generate``'s files: what is
     derived and standardized from them is finite by construction.
     """
@@ -340,9 +287,15 @@ def generate_dataset(
     # a Python float power per echo: numpy's array r**2.0 squares, which
     # can round differently from pow
     exponent = scenario.amplitude_exponent
-    amplitudes[has_target] = np.reshape(
-        [reflectivity / r**exponent for r in ranges.ravel().tolist()], ranges.shape
-    )
+    limit = sample_limit(n_bins)
+    try:
+        echoes = [reflectivity / r**exponent for r in ranges.ravel().tolist()]
+    except (OverflowError, ZeroDivisionError):  # r**exponent overflowed or underflowed to 0
+        raise ValueError(
+            f"scan samples must all be finite and within ±{limit:.3g}: "
+            f"range**{exponent:g} leaves the float range"
+        ) from None
+    amplitudes[has_target] = np.reshape(echoes, ranges.shape)
     background = _static_background(scenario)
     for start in range(0, n_examples, _BLOCK):
         block = slice(start, start + _BLOCK)
@@ -364,7 +317,6 @@ def generate_dataset(
             samples[block] = signal
     # the one finiteness check of generated data: every later value is
     # computed from these samples and finite by construction
-    limit = sample_limit(n_bins)
     if not (np.min(samples, initial=0.0) >= -limit and np.max(samples, initial=0.0) <= limit):
         raise ValueError(f"scan samples must all be finite and within ±{limit:.3g}")
     ds = LabeledDataset._of_finite_samples(

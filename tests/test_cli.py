@@ -327,6 +327,30 @@ class TestGenerate:
         ]
         assert [files for _, _, files in os.walk(out) if files] == []
 
+    @pytest.mark.parametrize(
+        "exponent, reason",
+        [(-400.0, ""), (600.0, ": range**600 leaves the float range")],
+        ids=["far_echoes_beyond_the_limit", "near_echo_power_underflows"],
+    )
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_samples_beyond_the_limit_exit_code(self, exponent, reason, jobs, tmp_path, capsys):
+        # both groups fail; the first in plan order is reported
+        cfg = {
+            "n_per_class": 60,
+            "scenarios": {"outdoor": {"environment": "outdoor", "amplitude_exponent": exponent}},
+            "schemes": ["simple4", "grid10"],
+            "data_types": ["raw"],
+        }
+        path = tmp_path / "cfg.yaml"
+        path.write_text(yaml.safe_dump(cfg))
+        out = tmp_path / "o"
+        assert main(["generate", "--config", str(path), "--out", str(out), "--jobs", jobs]) == EXIT_CONFIG
+        assert capsys.readouterr().err.splitlines() == [
+            "configuration error: outdoor-simple4-raw: scan samples must all be finite and within "
+            f"±3.18e+149{reason}"
+        ]
+        assert [files for _, _, files in os.walk(out) if files] == []
+
     @pytest.mark.parametrize("field", ["noise_sigma", "amplitude_exponent"])
     def test_non_finite_scenario_value_exit_code(self, field, tmp_path, capsys):
         scenario = dict(TINY["scenarios"]["outdoor"], **{field: float("nan")})

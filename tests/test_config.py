@@ -8,8 +8,8 @@ from radarml.config import (
     _TARGET_FIELDS,
     ConfigError,
     build_plan,
-    load_config,
     parse_config,
+    read_config,
 )
 
 
@@ -187,21 +187,21 @@ class TestLoadConfig:
     def test_yaml_file_round_trip(self, tmp_path):
         path = tmp_path / "cfg.yaml"
         path.write_text(yaml.safe_dump({"seed": 7, "n_per_class": 60}))
-        cfg = load_config(str(path))
+        cfg = parse_config(read_config(str(path)))
         assert cfg.seed == 7
         assert cfg.n_per_class == 60
 
     def test_empty_file_is_default_config(self, tmp_path):
         path = tmp_path / "cfg.yaml"
         path.write_text("")
-        assert load_config(str(path)).n_per_class == 200
+        assert parse_config(read_config(str(path))).n_per_class == 200
 
     def test_missing_file_raises_config_error(self, tmp_path):
         with pytest.raises(ConfigError):
-            load_config(str(tmp_path / "nope.yaml"))
+            parse_config(read_config(str(tmp_path / "nope.yaml")))
 
     def test_unparseable_yaml_raises_config_error(self, tmp_path):
         path = tmp_path / "cfg.yaml"
         path.write_text("seed: [unclosed")
         with pytest.raises(ConfigError):
-            load_config(str(path))
+            parse_config(read_config(str(path)))

@@ -153,10 +153,10 @@ class TestGradientBoosting:
         assert [[nested(t) for t in s] for s in full.stages_[:16]] == [
             [nested(t) for t in s] for s in half.stages_
         ]
-        scores = [F.copy() for F in full.staged_decision_function(X_new)]
+        scores = [F.copy() for F in full._staged_scores(X_new)]
         assert len(scores) == 32
-        assert np.array_equal(scores[15], half.decision_function(X_new))
-        assert np.array_equal(scores[31], full.decision_function(X_new))
+        *_, half_scores = half._staged_scores(X_new)
+        assert np.array_equal(scores[15], half_scores)
         assert not np.array_equal(scores[15], scores[31])
         labels = list(full.staged_predict(X_new))
         assert np.array_equal(labels[15], half.predict(X_new))
@@ -168,11 +168,11 @@ class TestGradientBoosting:
         b = GradientBoosting(n_estimators=8, seed=1).fit(X, y)
         assert [[nested(t) for t in s] for s in a.stages_] == [[nested(t) for t in s] for s in b.stages_]
 
-    def test_training_scores_match_decision_function(self):
+    def test_training_scores_match_staged_scores(self):
         # the fit adds each training row's leaf value instead of applying
         # the tree, so its recorded deviances must be those of the scores
-        # decision_function gives after each stage, to the last bit
+        # it gives after each stage, to the last bit
         X, y = overlapping(seed=3)
         model = GradientBoosting(n_estimators=12, learning_rate=1.0).fit(X, y)
-        deviances = [GradientBoosting._deviance(F, y) for F in model.staged_decision_function(X)]
+        deviances = [GradientBoosting._deviance(F, y) for F in model._staged_scores(X)]
         assert np.array_equal(model.train_deviance_[1:], deviances)

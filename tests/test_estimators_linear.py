@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from radarml.estimators import linear
-from radarml.estimators.ensemble import GradientBoosting
 from radarml.estimators.linear import (
     LinearSVC,
     LogisticRegression,
@@ -60,14 +59,6 @@ class TestLogisticRegression:
         model = LogisticRegression(C=1.0, solver="lbfgs", tol=1e-10).fit(X, y)
         np.testing.assert_allclose(model.coef_, [[a], [-a]], atol=1e-5)
         np.testing.assert_allclose(model.intercept_, [0.0, 0.0], atol=1e-5)
-
-    def test_probabilities_normalized_and_consistent(self):
-        X, y = blobs()
-        model = LogisticRegression().fit(X, y)
-        P = model.predict_proba(X)
-        np.testing.assert_allclose(P.sum(axis=1), 1.0, atol=1e-12)
-        assert np.all(P > 0)
-        np.testing.assert_array_equal(model.classes_[P.argmax(axis=1)], model.predict(X))
 
     def test_separable_blobs_memorized(self):
         X, y = blobs()
@@ -200,44 +191,3 @@ class TestFitsSayHowTheyEnded:
         X, y = blobs(spread=4.0)
         model = Perceptron(max_epochs=3).fit(X, y)
         assert (model.n_iter_, model.converged_) == (3, False)
-
-
-def scorers(model):
-    """``decision_function``, and ``staged_decision_function`` where a
-    class has one: both must check ``X`` when called."""
-    yield model.decision_function
-    if hasattr(model, "staged_decision_function"):
-        yield model.staged_decision_function
-
-
-@pytest.mark.parametrize("cls", [LogisticRegression, Perceptron, LinearSVC, GradientBoosting])
-class TestDecisionFunctionValidates:
-    def test_one_row_as_a_vector_rejected(self, cls):
-        X, y = blobs()
-        model = cls().fit(X, y)
-        for score in scorers(model):
-            with pytest.raises(ValueError, match="2-D"):
-                score(X[0])
-
-    def test_nan_rows_rejected(self, cls):
-        X, y = blobs()
-        model = cls().fit(X, y)
-        bad = X[:3].copy()
-        bad[1, 0] = np.nan
-        for score in scorers(model):
-            with pytest.raises(ValueError, match="non-finite"):
-                score(bad)
-        with pytest.raises(ValueError, match="non-finite"):
-            model.predict(bad)
-
-    def test_unfitted_rejected(self, cls):
-        for score in scorers(cls()):
-            with pytest.raises(ValueError, match="not fitted"):
-                score(np.zeros((2, 2)))
-
-    def test_wrong_width_rejected(self, cls):
-        X, y = blobs()
-        model = cls().fit(X, y)
-        for score in scorers(model):
-            with pytest.raises(ValueError, match="expected 2 features"):
-                score(np.zeros((2, 3)))

@@ -1,15 +1,72 @@
+"""The label schemes, and forward labeling: the label of a target
+position, which the tests use as the oracle of the generator's placement.
+
+The generator draws a position inside the zone or cell of a label; the
+functions here map a position back to its label, so a placement must
+round-trip. Azimuth is carried in ``TargetState`` purely for labeling,
+reproducing the inherent left/right ambiguity of a single monostatic
+radar: the synthesized scan depends on the target's range only.
+"""
+
 import math
+from dataclasses import dataclass
+from typing import Optional
 
 import pytest
 
-from radarml.labeling import (
-    Grid10Scheme,
-    Simple4Scheme,
-    grid_label,
-    label_of,
-    simple_label,
-)
-from radarml.synth import TargetState
+from radarml.labeling import Grid10Scheme, LabelScheme, Simple4Scheme
+
+
+@dataclass(frozen=True)
+class TargetState:
+    range_m: float
+    azimuth: float  # radians in [-pi/2, pi/2]; never observable in the scan
+    reflectivity: float = 4.0
+    jitter_sigma: float = 0.0  # meters of per-scan radial micro-motion
+
+
+def simple_label(target: Optional[TargetState], scheme: Simple4Scheme) -> int:
+    """Risk-zone label in {0, 1, 2, 3} for an optional target."""
+    if target is None:
+        return 0
+    r = target.range_m
+    if r < scheme.r_high:
+        return 1
+    if r < scheme.r_med:
+        return 2
+    if r < scheme.r_low:
+        return 3
+    return 0
+
+
+def grid_label(target: Optional[TargetState], scheme: Grid10Scheme) -> int:
+    """Grid-cell label in {0..9}; targets outside the 3x3 extent map to 0.
+
+    The cell is found from the target's Cartesian position; numbering is
+    row-major starting at the nearest-left cell (label 1).
+    """
+    if target is None:
+        return 0
+    x = target.range_m * math.cos(target.azimuth)
+    y = target.range_m * math.sin(target.azimuth)
+    x_lo = scheme.origin_range
+    y_lo = -0.5 * scheme.COLS * scheme.cell_width
+    if not (x_lo <= x < x_lo + scheme.ROWS * scheme.cell_depth):
+        return 0
+    if not (y_lo <= y < y_lo + scheme.COLS * scheme.cell_width):
+        return 0
+    row = min(int((x - x_lo) / scheme.cell_depth), scheme.ROWS - 1)
+    col = min(int((y - y_lo) / scheme.cell_width), scheme.COLS - 1)
+    return 1 + row * scheme.COLS + col
+
+
+def label_of(target: Optional[TargetState], scheme: LabelScheme) -> int:
+    """Label under either scheme."""
+    if isinstance(scheme, Simple4Scheme):
+        return simple_label(target, scheme)
+    if isinstance(scheme, Grid10Scheme):
+        return grid_label(target, scheme)
+    raise TypeError(f"unknown labeling scheme: {scheme!r}")
 
 
 def at(range_m, azimuth=0.0):

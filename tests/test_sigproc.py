@@ -273,9 +273,9 @@ class TestDeriveDataset:
         for data_type in ("raw", "baseband", "motion_filtered"):
             derived = derive_dataset(raw, data_type)
             assert np.all(np.isfinite(derived.scans)), data_type
-            with np.errstate(over="ignore"):  # a squared deviation may overflow: sigma is inf, z is 0
-                standardized = standardize_dataset(derived)
+            standardized = standardize_dataset(derived)
             assert np.all(np.isfinite(standardized.scans)), data_type
+            np.testing.assert_allclose(standardized.scans.std(axis=1), 1.0, err_msg=data_type)
 
     def test_envelope_of_short_rows_rejected(self):
         short = LabeledDataset(np.ones((2, 7)), [0, 1], "simple4", "raw", "x")

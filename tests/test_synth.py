@@ -6,15 +6,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from radarml import synth
-from radarml.labeling import Grid10Scheme, Simple4Scheme, label_of
+from radarml.labeling import Grid10Scheme, Simple4Scheme
 from radarml.seeding import make_rng, seed_sequence
-from radarml.synth import (
-    Scenario,
-    TargetState,
-    generate_dataset,
-    place_target_for_label,
-    pulse_samples,
-)
+from radarml.synth import Scenario, generate_dataset, pulse_samples
+from test_labeling import TargetState, label_of
 
 
 def quiet_scenario(**kw):
@@ -110,6 +105,14 @@ def reference_place(label, scheme, rng, *, reflectivity=4.0, jitter_sigma=0.06, 
         reflectivity=reflectivity,
         jitter_sigma=jitter_sigma,
     )
+
+
+def place_target_for_label(label, scheme, rng, *, reflectivity=4.0, jitter_sigma=0.06, min_range=0.3):
+    """The target that the generator places for ``label`` from
+    ``rng.random(2)``, through its own ``_placement_bounds`` and ``_place``."""
+    bounds = synth._placement_bounds(scheme, min_range)[label]
+    range_m, azimuth = synth._place(scheme, bounds, rng.random(2))
+    return TargetState(float(range_m), float(azimuth), reflectivity, jitter_sigma)
 
 
 def reference_targets(scheme, n_per_class, seed, **placement):
@@ -310,19 +313,9 @@ class TestPlacement:
         t = place_target_for_label(label, scheme, make_rng(seed))
         assert label_of(t, scheme) == label
 
-    def test_label_zero_rejected(self):
-        with pytest.raises(ValueError):
-            place_target_for_label(0, Simple4Scheme(), make_rng(0))
-
-    def test_out_of_scheme_label_rejected(self):
-        with pytest.raises(ValueError):
-            place_target_for_label(4, Simple4Scheme(), make_rng(0))
-        with pytest.raises(ValueError):
-            place_target_for_label(10, Grid10Scheme(), make_rng(0))
-
     def test_min_range_must_leave_room(self):
-        with pytest.raises(ValueError):
-            place_target_for_label(1, Simple4Scheme(), make_rng(0), min_range=1.0)
+        with pytest.raises(ValueError, match="min_range must lie below"):
+            generate_dataset(quiet_scenario(), Simple4Scheme(), 2, seed=0, min_range=1.0)
 
 
 class TestGenerateDataset:
@@ -378,11 +371,20 @@ class TestGenerateDataset:
         # the clutter's one stream, then every example's in one call
         assert calls == [("make_rngs", 8, range(5, 12)), ("make_rng", 4, 0)]
 
-    # echoes of 1e303 / range**2 exceed the limit at 480 bins; 1e308 / 0.09 is inf
-    @pytest.mark.parametrize("reflectivity", [1e303, 1e308])
+    # echoes of 1e151 / range**2 exceed the limit at 480 bins; 1e308 / 0.09 is inf
+    @pytest.mark.parametrize("reflectivity", [1e151, 1e308])
     def test_samples_beyond_the_limit_rejected(self, reflectivity):
-        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match=r"finite and within ±1.94e\+302"):
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match=r"finite and within ±3.18e\+149$"):
             generate_dataset(quiet_scenario(), Simple4Scheme(), 2, seed=0, reflectivity=reflectivity)
+
+    # without jitter the ranges of simple4's class 3 lie in [2, 3), where
+    # range**1100 overflows and range**-1100 underflows to 0
+    @pytest.mark.parametrize("exponent", [1100.0, -1100.0])
+    def test_echo_power_beyond_the_float_range_rejected(self, exponent):
+        sc = quiet_scenario(amplitude_exponent=exponent)
+        message = rf"within ±3.18e\+149: range\*\*{exponent:g} leaves the float range$"
+        with pytest.raises(ValueError, match=message):
+            generate_dataset(sc, Simple4Scheme(), 2, seed=0, jitter_sigma=0.0, rows=slice(6, 8))
 
     def test_huge_samples_within_the_limit_accepted(self):
         # echoes of 4 / range**300: as at a 480-bin scan's limit, finite
@@ -418,23 +420,9 @@ class TestValidation:
         with pytest.raises(ValueError, match=rf"^{field} must be finite, got {value!r}$"):
             quiet_scenario(**{field: value})
 
-    @pytest.mark.parametrize("field", ["range_m", "azimuth", "reflectivity", "jitter_sigma"])
-    def test_non_finite_target_field_rejected_by_name(self, field):
-        values = {"range_m": 1.0, "azimuth": 0.0, field: math.nan}
-        with pytest.raises(ValueError, match=rf"^{field} must be finite, got nan$"):
-            TargetState(**values)
-
     @pytest.mark.parametrize("param", ["reflectivity", "jitter_sigma", "min_range"])
     @pytest.mark.parametrize("scheme", [Simple4Scheme(), Grid10Scheme()], ids=["simple4", "grid10"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_non_finite_generation_argument_rejected_by_name(self, param, scheme, value):
         with pytest.raises(ValueError, match=rf"^{param} must be finite, got {value!r}$"):
             generate_dataset(quiet_scenario(noise_sigma=0.01), scheme, 2, seed=0, **{param: value})
-
-    def test_target_field_checks(self):
-        with pytest.raises(ValueError):
-            TargetState(range_m=-1.0, azimuth=0.0)
-        with pytest.raises(ValueError):
-            TargetState(range_m=1.0, azimuth=3.0)
-        with pytest.raises(ValueError):
-            TargetState(range_m=1.0, azimuth=0.0, reflectivity=0.0)

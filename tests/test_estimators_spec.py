@@ -87,6 +87,107 @@ class TestRegistry:
         assert cross_val_scores(kind, {}, X, y, folds, seed=9) == [tuple(want)]
 
 
+def two_class_blobs():
+    # other classes and another width than overlapping_blobs
+    rng = np.random.default_rng(5)
+    X = np.concatenate([rng.normal(c, 0.8, size=(10, 3)) for c in (-1.0, 1.0)])
+    return X, np.repeat([0, 7], 10)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+class TestFitContract:
+    """What every kind's ``fit`` and ``predict`` promise the pipeline."""
+
+    def test_fit_returns_the_model_and_keeps_its_params(self, kind):
+        model = multi_stage(ESTIMATOR_CLASSES[kind])
+        params = dict(vars(model))
+        assert model.fit(*overlapping_blobs()) is model
+        assert {name: getattr(model, name) for name in params} == params
+
+    def test_fit_and_predict_leave_their_inputs_unchanged(self, kind):
+        X, y = overlapping_blobs()
+        X_before, y_before = X.copy(), y.copy()
+        model = multi_stage(ESTIMATOR_CLASSES[kind]).fit(X, y)
+        model.predict(X)
+        list(model.staged_predict(X))
+        np.testing.assert_array_equal(X, X_before)
+        np.testing.assert_array_equal(y, y_before)
+
+    def test_refit_predicts_as_a_fresh_fit(self, kind):
+        # the second fit has other classes and another width, so any state
+        # the first fit left behind would show in the predictions or checks
+        cls = ESTIMATOR_CLASSES[kind]
+        X, y = overlapping_blobs()
+        refit = multi_stage(cls).fit(*two_class_blobs()).fit(X, y)
+        fresh = multi_stage(cls).fit(X, y)
+        assert refit.classes_.tolist() == [10, 20, 30]
+        assert refit.n_features_ == 4
+        for a, b in zip(refit.staged_predict(X), fresh.staged_predict(X), strict=True):
+            np.testing.assert_array_equal(a, b)
+
+    def test_fit_together_fits_each_model_as_its_own_fit(self, kind):
+        cls = ESTIMATOR_CLASSES[kind]
+        data = [overlapping_blobs(), two_class_blobs(), overlapping_blobs()]
+        models = [multi_stage(cls), multi_stage(cls), cls(seed=8)]
+        cls.fit_together(models, [X for X, _ in data], [y for _, y in data])
+        for model, (X, y), alone in zip(models, data, [multi_stage(cls), multi_stage(cls), cls(seed=8)]):
+            alone.fit(X, y)
+            assert model.classes_.tolist() == alone.classes_.tolist()
+            for a, b in zip(model.staged_predict(X), alone.staged_predict(X), strict=True):
+                np.testing.assert_array_equal(a, b)
+
+    def test_predictions_do_not_depend_on_the_other_rows(self, kind):
+        X, y = overlapping_blobs()
+        model = multi_stage(ESTIMATOR_CLASSES[kind]).fit(X, y)
+        labels = model.predict(X)
+        order = np.random.default_rng(6).permutation(len(X))
+        np.testing.assert_array_equal(model.predict(X[order]), labels[order])
+        for i in (0, 17, len(X) - 1):
+            np.testing.assert_array_equal(model.predict(X[i : i + 1]), labels[i : i + 1])
+
+    def test_labels_only_name_the_classes(self, kind):
+        # an order-keeping renaming of the labels renames the predictions
+        cls = ESTIMATOR_CLASSES[kind]
+        X, y = overlapping_blobs()
+        names = {10: "near", 20: "other", 30: "right"}
+        named = multi_stage(cls).fit(X, np.array([names[v] for v in y]))
+        coded = multi_stage(cls).fit(X, y)
+        assert named.classes_.tolist() == ["near", "other", "right"]
+        np.testing.assert_array_equal(named.predict(X), [names[v] for v in coded.predict(X)])
+
+    def test_predict_checks_its_input(self, kind):
+        X, y = overlapping_blobs()
+        model = multi_stage(ESTIMATOR_CLASSES[kind]).fit(X, y)
+        bad = X[:3].copy()
+        bad[1, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            model.predict(bad)
+        with pytest.raises(ValueError, match="expected 4 features"):
+            model.predict(np.zeros((2, 3)))
+        with pytest.raises(ValueError, match="2-D"):
+            model.predict(X[0])
+        with pytest.raises(ValueError, match="non-empty"):
+            model.predict(X[:0])
+
+    def test_fit_rejects_bad_training_data_and_stays_unfitted(self, kind):
+        cls = ESTIMATOR_CLASSES[kind]
+        X, y = overlapping_blobs()
+        bad = X.copy()
+        bad[4, 1] = np.inf
+        cases = [
+            (bad, y, "non-finite"),
+            (X[0], y[:1], "2-D"),
+            (X, y[:-1], "45 rows but y has 44"),
+            (X, np.full(len(X), 20), "at least two classes"),
+        ]
+        for X_fit, y_fit, message in cases:
+            model = multi_stage(cls)
+            with pytest.raises(ValueError, match=message):
+                model.fit(X_fit, y_fit)
+            with pytest.raises(ValueError, match="not fitted"):
+                model.predict(X)
+
+
 class TestBaseChecks:
     def test_check_matrix_rules(self):
         with pytest.raises(ValueError):

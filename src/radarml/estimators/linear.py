@@ -3,9 +3,13 @@
 All three operate on an augmented design matrix with a trailing bias
 column that stays unpenalized. Logistic regression minimizes the mean
 negative log-likelihood plus (1/(2C))||W||^2 and exposes three solvers
-that share one convergence rule: max|grad| < tol. Each fit records
-``n_iter_`` and ``converged_``, so a fit that ran out of iterations or
-whose line search failed says so.
+that share one convergence rule: max|grad| < tol on this objective.
+Each fit records ``n_iter_``, ``converged_`` and ``grad_norm_`` (the
+max|grad| where it stopped), so a fit that ran out of iterations or whose
+line search failed says so, and by how much. ``sag`` steps on rows whose
+bias column is ``_SAG_BIAS_SCALE`` instead of 1: the bias is unpenalized,
+so that reparametrizes the same objective, and ``sag`` tests its stopping
+rule and returns its bias in the original coordinates.
 """
 
 from __future__ import annotations
@@ -18,6 +22,13 @@ from .base import Classifier, encode_training_data
 _LBFGS_MEMORY = 10
 _ARMIJO_C1 = 1e-4
 _MAX_HALVINGS = 30
+# The bias column of the rows ``sag`` steps on. The penalized weights have
+# curvature of at least 1/C but the unpenalized bias at most about 0.25,
+# and the 1/L step is not scale-invariant, so scaling the column speeds up
+# the bias and with it the fit. Chosen from sag epochs on a standardized
+# grid10 fold of 160x480 at C = 0.01 / 1 / 10: 71 / 182 / 500+ at 1,
+# 9 / 27 / 88 at 4, 9 / 26 / 102 at 10, 11 / 31 / 243 at 30.
+_SAG_BIAS_SCALE = 4.0
 
 SOLVERS = ("lbfgs", "sag", "newton-cg")
 
@@ -30,6 +41,10 @@ def _softmax_rows(Z):
     Z = Z - Z.max(axis=1, keepdims=True)
     E = np.exp(Z)
     return E / E.sum(axis=1, keepdims=True)
+
+
+def _max_abs(g):
+    return float(np.max(np.abs(g)))
 
 
 def _nll_loss_grad(theta, Xa, Y, lam):
@@ -56,8 +71,9 @@ def _solve_lbfgs(Xa, Y, lam, tol, max_iter):
     f, g = _nll_loss_grad(theta, Xa, Y, lam)
     s_hist, y_hist, rho_hist = [], [], []
     for it in range(max_iter):
-        if np.max(np.abs(g)) < tol:
-            return theta, it, True
+        gnorm = _max_abs(g)
+        if gnorm < tol:
+            return theta, it, True, gnorm
         q = g.reshape(-1).copy()
         alphas = []
         for s, yv, rho in zip(reversed(s_hist), reversed(y_hist), reversed(rho_hist)):
@@ -82,7 +98,7 @@ def _solve_lbfgs(Xa, Y, lam, tol, max_iter):
                 break
             step *= 0.5
         else:
-            return theta, it, False  # line search failed
+            return theta, it, False, gnorm  # line search failed
         s_vec = (theta_new - theta).reshape(-1)
         y_vec = (g_new - g).reshape(-1)
         sy = s_vec.dot(y_vec)
@@ -95,26 +111,34 @@ def _solve_lbfgs(Xa, Y, lam, tol, max_iter):
                 y_hist.pop(0)
                 rho_hist.pop(0)
         theta, f, g = theta_new, f_new, g_new
-    return theta, max_iter, bool(np.max(np.abs(g)) < tol)
+    gnorm = _max_abs(g)
+    return theta, max_iter, gnorm < tol, gnorm
 
 
 def _solve_sag(Xa, Y, lam, tol, max_iter, seed):
     """Stochastic average gradient with per-sample residual memory.
 
-    Returns (theta, epochs run, converged). Each step works in buffers
-    allocated once per fit. The rank-1 residual update is a k=1 matrix
-    product, a single multiply per element, and the L2 term is ``theta``
-    times a per-column ``decay`` that is 0 in the bias column, so every
-    array operation runs on contiguous memory and rounds exactly as the
-    plain per-sample formulas do.
+    Steps on ``Xa`` with its bias column set to ``_SAG_BIAS_SCALE``, an
+    exact reparametrization of the same objective, and returns (theta with
+    its bias in ``Xa``'s coordinates, epochs run, converged, max|grad|).
+    Each epoch ends with the shared stopping rule on the original problem.
+    Each step works in buffers allocated once per fit. The rank-1 residual
+    update is a k=1 matrix product, a single multiply per element, and the
+    L2 term is ``theta`` times a per-column ``decay`` that is 0 in the bias
+    column, so every array operation runs on contiguous memory and rounds
+    exactly as the plain per-sample formulas do.
     """
     n, d1 = Xa.shape
     K = Y.shape[1]
+    Xs = Xa.copy()
+    Xs[:, -1] = _SAG_BIAS_SCALE
+    unscale = np.ones(d1)
+    unscale[-1] = _SAG_BIAS_SCALE
     theta = np.zeros((K, d1))
     # at theta = 0 every softmax row is uniform
     resid = np.full((n, K), 1.0 / K) - Y
-    grad_sum = resid.T @ Xa  # (K, d1), tracks sum_i resid_i x_i
-    lipschitz = 0.5 * float(np.max(np.sum(Xa * Xa, axis=1))) + lam
+    grad_sum = resid.T @ Xs  # (K, d1), tracks sum_i resid_i x_i
+    lipschitz = 0.5 * float(np.max(np.sum(Xs * Xs, axis=1))) + lam
     step = 1.0 / lipschitz
     scale = step / n
     decay = np.full(d1, step * lam)
@@ -124,26 +148,28 @@ def _solve_sag(Xa, Y, lam, tol, max_iter, seed):
     outer = np.empty((K, d1))
     update = np.empty((K, d1))
     shrink = np.empty((K, d1))
+    gnorm = _max_abs(_nll_loss_grad(theta, Xa, Y, lam)[1])
     rng = make_rng(seed, 0)
     for epoch in range(1, max_iter + 1):
         for i in rng.integers(0, n, size=n).tolist():
-            np.matmul(theta, Xa[i], out=p)
+            np.matmul(theta, Xs[i], out=p)
             p -= p.max()
             np.exp(p, out=p)
             p /= p.sum()
             p -= Y[i]  # the new residual
             np.subtract(p, resid[i], out=dr[:, 0])
             resid[i] = p
-            np.dot(dr, Xa[i : i + 1], out=outer)
+            np.dot(dr, Xs[i : i + 1], out=outer)
             grad_sum += outer
             np.multiply(grad_sum, scale, out=update)
             np.multiply(theta, decay, out=shrink)
             update += shrink
             theta -= update
-        _, g = _nll_loss_grad(theta, Xa, Y, lam)
-        if np.max(np.abs(g)) < tol:
-            return theta, epoch, True
-    return theta, max_iter, False
+        unscaled = theta * unscale
+        gnorm = _max_abs(_nll_loss_grad(unscaled, Xa, Y, lam)[1])
+        if gnorm < tol:
+            return unscaled, epoch, True, gnorm
+    return theta * unscale, max_iter, gnorm < tol, gnorm
 
 
 def _cg(apply_h, b, tol, max_iter):
@@ -173,9 +199,9 @@ def _solve_newton_cg(Xa, Y, lam, tol, max_iter):
     theta = np.zeros((K, d1))
     f, g = _nll_loss_grad(theta, Xa, Y, lam)
     for it in range(max_iter):
-        gnorm = np.max(np.abs(g))
+        gnorm = _max_abs(g)
         if gnorm < tol:
-            return theta, it, True
+            return theta, it, True, gnorm
         P = _softmax_rows(Xa @ theta.T)
 
         def apply_h(v_flat):
@@ -206,9 +232,10 @@ def _solve_newton_cg(Xa, Y, lam, tol, max_iter):
                 break
             step *= 0.5
         else:
-            return theta, it, False  # line search failed
+            return theta, it, False, gnorm  # line search failed
         theta, f, g = theta_new, f_new, g_new
-    return theta, max_iter, bool(np.max(np.abs(g)) < tol)
+    gnorm = _max_abs(g)
+    return theta, max_iter, gnorm < tol, gnorm
 
 
 class _LinearClassifier(Classifier):
@@ -222,7 +249,11 @@ class _LinearClassifier(Classifier):
 
 
 class LogisticRegression(_LinearClassifier):
-    """Softmax regression with L2 strength 1/C."""
+    """Softmax regression with L2 strength 1/C.
+
+    ``grad_norm_`` is max|grad| of the objective where the fit stopped,
+    below ``tol`` exactly when ``converged_``.
+    """
 
     kind = "logistic_regression"
 
@@ -251,7 +282,7 @@ class LogisticRegression(_LinearClassifier):
             solved = _solve_sag(Xa, Y, lam, self.tol, self.max_iter, self.seed)
         else:
             solved = _solve_newton_cg(Xa, Y, lam, self.tol, self.max_iter)
-        theta, self.n_iter_, self.converged_ = solved
+        theta, self.n_iter_, self.converged_, self.grad_norm_ = solved
         self.coef_ = theta[:, :-1]
         self.intercept_ = theta[:, -1]
         return self

@@ -39,6 +39,9 @@ _FOLD_KEY = 102
 _SEARCH_KEY = 103
 _REFIT_KEY = 104
 
+# what a refit reports of how its fit ended, where the model has it
+_REFIT_DIAGNOSTICS = ("n_iter_", "converged_", "grad_norm_")
+
 
 def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
@@ -248,9 +251,11 @@ class EvalReport:
     # the kind's CV and refit task times, each measured in the process that
     # ran it; with several workers the sum can exceed the wall time
     seconds: float
-    # how the refit ended, for kinds whose fit iterates to a stopping rule
+    # how the refit ended, for kinds whose fit iterates to a stopping rule;
+    # grad_norm is where logistic regression's max|grad| stopped
     n_iter: int | None = None
     converged: bool | None = None
+    grad_norm: float | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -267,6 +272,7 @@ class EvalReport:
             "seconds": self.seconds,
             "n_iter": self.n_iter,
             "converged": self.converged,
+            "grad_norm": self.grad_norm,
         }
 
 
@@ -320,12 +326,18 @@ def _timed(fn, *args):
     return time.perf_counter() - started, error, value
 
 
-def _refit(kind, params, seed, X, y, X_test):
-    """Test predictions of ``params`` fit on the whole training portion,
-    with the fit's ``n_iter_`` and ``converged_`` where it has them."""
+def _refit(kind, params, seed, X, y, X_test, stages=None):
+    """``params`` fit once on the whole training portion: a dict of its test
+    predictions at each stage in ``stages``, by default only its last, then
+    the fit's ``n_iter_``, ``converged_`` and ``grad_norm_`` where it has
+    them."""
     model = ESTIMATOR_CLASSES[kind](**params, seed=seed)
     model.fit(X, y)
-    return model.predict(X_test), getattr(model, "n_iter_", None), getattr(model, "converged_", None)
+    if stages is None:
+        stages = (model.n_stages,)
+    staged = enumerate(model.staged_predict(X_test), 1)
+    predicted = {stage: labels for stage, labels in staged if stage in stages}
+    return predicted, *(getattr(model, name, None) for name in _REFIT_DIAGNOSTICS)
 
 
 # A pool worker's ``data``, handed over once by ``_init_worker``.
@@ -343,9 +355,9 @@ def _worker_cv(kind, params, seed, stages, start, stop):
     return _timed(cross_val_scores, kind, params, X, y, folds[start:stop], seed, stages, start)
 
 
-def _worker_refit(kind, params, seed):
+def _worker_refit(kind, params, seed, stages=None):
     X, y, X_test, _ = _worker_data
-    return _timed(_refit, kind, params, seed, X, y, X_test)
+    return _timed(_refit, kind, params, seed, X, y, X_test, stages)
 
 
 def _chunked_search(kind, candidates, fits, chunks):
@@ -372,14 +384,18 @@ def _pooled_searches(jobs, data, keys):
     ``data`` is (X_train, y_train, X_test, folds), handed to each worker
     once; ``keys`` maps each kind to (candidates, search seed, refit seed).
     Every kind's CV goes in first: per shared fit of its grid, one task per
-    chunk of contiguous folds (``min(jobs, n_folds)`` chunks). A kind with
-    one candidate knows its refit before any CV, so its refit goes in
-    right behind all CV tasks, and a one-kind call keeps every worker busy
-    to its end (a failed CV still wins: ``evaluate_kinds`` then reads no
-    refit). Any other kind's refit goes in once its CV is in and has not
-    failed, behind the tasks still queued. Returns, per kind, the
-    ``_timed`` outcomes of its search (its tasks' seconds summed, the
-    first error in task order) and of its refit, None when not run.
+    chunk of contiguous folds (``min(jobs, n_folds)`` chunks). A kind whose
+    grid is one shared fit (one candidate, or candidates that differ only
+    in its ``staged_param``) knows its refit before any CV: one fit of the
+    group's deepest stage that keeps the test predictions of every stage
+    in the group. Its refit goes in right behind all CV tasks, so the last
+    refit does not run alone while the other workers idle, and
+    ``evaluate_kinds`` reads the winner's stage after CV (a failed CV
+    still wins: it then reads no refit). Any other kind's refit goes in
+    once its CV is in and has not failed, behind the tasks still queued.
+    Returns, per kind, the ``_timed`` outcomes of its search (its tasks'
+    seconds summed, the first error in task order) and of its refit, None
+    when not run.
     """
     folds = data[3]
     n_chunks = min(jobs, len(folds))
@@ -405,11 +421,12 @@ def _pooled_searches(jobs, data, keys):
             ]
             for kind, (cands, fits) in plans.items()
         }
-        refits = {
-            kind: pool.submit(_worker_refit, kind, cands[0], keys[kind][2])
-            for kind, (cands, _) in plans.items()
-            if len(cands) == 1
-        }
+        refits = {}
+        for kind, (cands, fits) in plans.items():
+            if len(fits) == 1:
+                (fit,) = fits
+                params = cands[fit.indices[-1]]
+                refits[kind] = pool.submit(_worker_refit, kind, params, keys[kind][2], fit.stages)
         for kind in plans:
             searched = _chunked_search(kind, *plans[kind], [f.result() for f in cv[kind]])
             outcomes[kind] = (searched, None)
@@ -494,8 +511,9 @@ def evaluate_kinds(
         if error is not None:
             result.errors[kind] = error
             continue
-        predicted, n_iter, converged = refitted
+        predicted, n_iter, converged, grad_norm = refitted
         winner = search.best
+        predicted = predicted[ESTIMATOR_CLASSES[kind](**winner.params).n_stages]
         result.reports[kind] = EvalReport(
             kind=kind,
             dataset_id=dataset_id,
@@ -510,6 +528,7 @@ def evaluate_kinds(
             seconds=search_seconds + refit_seconds,
             n_iter=n_iter,
             converged=converged,
+            grad_norm=grad_norm,
         )
     return result
 

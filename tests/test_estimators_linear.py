@@ -1,14 +1,21 @@
 import numpy as np
 import pytest
 
-from radarml.estimators import linear
+from radarml.config import parse_config
+from radarml.estimators import grid_candidates, linear
 from radarml.estimators.linear import (
+    SOLVERS,
     LinearSVC,
     LogisticRegression,
     Perceptron,
     _augment,
     _nll_loss_grad,
 )
+from radarml.modelsel import stratified_kfold
+from radarml.sigproc import derive_dataset, standardize_dataset
+from radarml.synth import generate_dataset
+
+GRID_C = sorted({params["C"] for params in grid_candidates("logistic_regression")})
 
 
 def blobs(n_per=20, centers=((-4.0, 0.0), (4.0, 0.0), (0.0, 6.0)), seed=0, spread=0.5):
@@ -77,6 +84,54 @@ class TestLogisticRegression:
             LogisticRegression(C=0.0)
         with pytest.raises(ValueError):
             LogisticRegression(solver="adam")
+
+
+class TestSagBiasScale:
+    """sag steps on a scaled bias column; the optimum must not move."""
+
+    @pytest.mark.parametrize("C", GRID_C)
+    def test_converged_fit_is_stationary_in_original_coordinates(self, C):
+        X, y = blobs(spread=2.0)
+        model = LogisticRegression(C=C, solver="sag").fit(X, y)
+        if C <= 100.0:
+            assert model.converged_ is True
+        if model.converged_:
+            assert fitted_grad_norm(model, X, y) < model.tol
+
+    @pytest.mark.parametrize("C", [c for c in GRID_C if c <= 100.0])
+    def test_predicts_as_newton_cg_on_held_out_rows(self, C):
+        X, y = blobs(spread=2.0)
+        X_test, _ = blobs(seed=1, spread=2.0)
+        sag = LogisticRegression(C=C, solver="sag").fit(X, y)
+        newton = LogisticRegression(C=C, solver="newton-cg").fit(X, y)
+        assert sag.converged_ and newton.converged_
+        np.testing.assert_array_equal(sag.predict(X_test), newton.predict(X_test))
+
+    def test_radar_fold_converges_in_few_epochs(self):
+        # a standardized 10-class fold of 160 motion-filtered 480-bin scans;
+        # with a bias column of 1, sag takes about 75 epochs here at C=0.01
+        config = parse_config({"seed": 0, "n_per_class": 200})
+        (scenario,) = [s for s in config.scenarios if s.scenario_id == "outdoor"]
+        raw = generate_dataset(scenario, config.scheme_object("grid10"), 20, seed=7)
+        ds = standardize_dataset(derive_dataset(raw, "motion_filtered"))
+        (train, _), *_ = stratified_kfold(ds.labels, 5, seed=0)
+        X, y = ds.scans[train], ds.labels[train]
+        assert X.shape == (160, 480) and len(set(y)) == 10
+        for seed in range(3):
+            model = LogisticRegression(C=0.01, solver="sag", seed=seed).fit(X, y)
+            assert model.converged_ is True
+            assert model.n_iter_ <= 15
+
+
+class TestGradNorm:
+    @pytest.mark.parametrize("solver", SOLVERS)
+    @pytest.mark.parametrize("max_iter", [2, 500])
+    def test_is_the_final_gradient_of_the_original_problem(self, solver, max_iter):
+        X, y = blobs(spread=2.0)
+        model = LogisticRegression(C=1.0, solver=solver, max_iter=max_iter).fit(X, y)
+        assert model.grad_norm_ == fitted_grad_norm(model, X, y)
+        assert (model.grad_norm_ < model.tol) == model.converged_
+        assert model.converged_ is (max_iter == 500)
 
 
 class TestPerceptron:

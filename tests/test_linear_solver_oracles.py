@@ -4,6 +4,7 @@
 at-a-time forms of the two solvers, kept here as references: the SAG step
 kernel works in preallocated buffers and the perceptron steps several fits
 in lockstep, and both must give the same coefficient bytes as these loops.
+``oracle_sag`` steps on a scaled bias column as the solver does.
 """
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 
 from radarml.estimators import accuracy_percent
 from radarml.estimators.linear import (
+    _SAG_BIAS_SCALE,
     LogisticRegression,
     Perceptron,
     _augment,
@@ -21,20 +23,30 @@ from radarml.seeding import derive_seed, make_rng
 
 
 def oracle_sag(Xa, Y, lam, tol, max_iter, seed):
-    """Stochastic average gradient with per-sample residual memory."""
+    """Stochastic average gradient with per-sample residual memory, on the
+    rows with their bias column scaled to ``_SAG_BIAS_SCALE``; the stopping
+    rule and the result are in the original coordinates."""
     n, d1 = Xa.shape
     K = Y.shape[1]
+    Xs = Xa.copy()
+    Xs[:, -1] = _SAG_BIAS_SCALE
     theta = np.zeros((K, d1))
     # at theta = 0 every softmax row is uniform
     resid = np.full((n, K), 1.0 / K) - Y
-    grad_sum = resid.T @ Xa  # (K, d1), tracks sum_i resid_i x_i
-    lipschitz = 0.5 * float(np.max(np.sum(Xa * Xa, axis=1))) + lam
+    grad_sum = resid.T @ Xs  # (K, d1), tracks sum_i resid_i x_i
+    lipschitz = 0.5 * float(np.max(np.sum(Xs * Xs, axis=1))) + lam
     step = 1.0 / lipschitz
     rng = make_rng(seed, 0)
+
+    def unscaled(theta):
+        out = theta.copy()
+        out[:, -1] *= _SAG_BIAS_SCALE
+        return out
+
     for _ in range(max_iter):
         picks = rng.integers(0, n, size=n)
         for i in picks:
-            x = Xa[i]
+            x = Xs[i]
             z = theta @ x
             z -= z.max()
             p = np.exp(z)
@@ -45,10 +57,10 @@ def oracle_sag(Xa, Y, lam, tol, max_iter, seed):
             update = grad_sum * (step / n)
             update[:, :-1] += (step * lam) * theta[:, :-1]
             theta -= update
-        _, g = _nll_loss_grad(theta, Xa, Y, lam)
+        _, g = _nll_loss_grad(unscaled(theta), Xa, Y, lam)
         if np.max(np.abs(g)) < tol:
             break
-    return theta
+    return unscaled(theta)
 
 
 def oracle_perceptron(X, y, alpha, lr, max_epochs, seed):

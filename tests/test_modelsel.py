@@ -1,4 +1,5 @@
 import multiprocessing
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -408,6 +409,107 @@ class TestJobs:
         # empty labels would fail the fold split; the jobs check comes first
         with pytest.raises(ValueError, match="jobs must be at least 1"):
             evaluate_kinds(np.zeros((0, 2)), [], np.zeros((0, 2)), [], jobs=0)
+
+
+def _staged_grid(kind, stages):
+    other = {"knn": {}, "gradient_boosting": {"learning_rate": 0.5}}[kind]
+    param = {"knn": "n_neighbors", "gradient_boosting": "n_estimators"}[kind]
+    return [{param: stage, **other} for stage in stages]
+
+
+class TestSharedFitRefits:
+    """A kind whose grid is one shared fit refits its deepest stage once and
+    reads the winner's stage after CV."""
+
+    @pytest.mark.parametrize(
+        "kind, stages", [("knn", (1, 2, 3, 5)), ("gradient_boosting", (1, 2, 4, 8))]
+    )
+    def test_each_stage_equals_a_lone_refit_at_that_stage(self, kind, stages):
+        y = np.repeat([0, 1, 2], 12)
+        rng = np.random.default_rng(2)
+        X, X_test = (rng.normal(size=(y.size, 3)) + 0.7 * y[:, None] for _ in range(2))
+        grid = _staged_grid(kind, stages)
+        predicted, *_ = modelsel._refit(kind, grid[-1], 5, X, y, X_test, stages)
+        assert sorted(predicted) == list(stages)
+        for stage, params in zip(stages, grid):
+            alone, *_ = modelsel._refit(kind, params, 5, X, y, X_test, (stage,))
+            np.testing.assert_array_equal(predicted[stage], alone[stage])
+        assert len({predicted[stage].tobytes() for stage in stages}) > 1
+
+    def test_same_result_at_any_jobs_with_the_winner_below_the_deepest_stage(self):
+        y = np.repeat([0, 1, 2], 15)
+        X = features_for(y, jitter=1.5)
+        X_test = features_for(y, seed=1, jitter=1.5)
+        candidates = {
+            "knn": _staged_grid("knn", range(1, 7)),
+            "gradient_boosting": _staged_grid("gradient_boosting", (16, 32)),
+            # two shared fits: the refit waits for CV
+            "logistic_regression": [{"C": 1.0, "solver": s} for s in ("lbfgs", "sag")],
+        }
+        kw = dict(kinds=tuple(candidates), candidates_by_kind=candidates, seed=4)
+        results = [evaluate_kinds(X, y, X_test, y, **kw, jobs=jobs) for jobs in (1, 2, 4)]
+        outcomes = [_outcome(result) for result in results]
+        assert outcomes[0] == outcomes[1] == outcomes[2]
+        errors, reports = outcomes[0]
+        assert errors == {} and set(reports) == set(candidates)
+        assert reports["knn"][0]["n_neighbors"] < 6
+        assert multiprocessing.active_children() == []
+
+    def test_refits_of_one_shared_fit_go_in_before_any_cv_is_read(self, monkeypatch):
+        # the pool is swapped for threads that log what the scheduler does
+        log = []
+
+        class LoggingPool(ThreadPoolExecutor):
+            def __init__(self, workers, initializer, initargs):
+                super().__init__(workers, initializer=initializer, initargs=initargs)
+
+            def submit(self, fn, *args):
+                log.append((fn.__name__, args[0]))
+                return super().submit(fn, *args)
+
+        chunked = modelsel._chunked_search
+
+        def logged(kind, *args):
+            log.append(("read cv", kind))
+            return chunked(kind, *args)
+
+        monkeypatch.setattr(modelsel, "fork_pool", LoggingPool)
+        monkeypatch.setattr(modelsel, "_chunked_search", logged)
+        y = np.repeat([0, 1], 10)
+        X = features_for(y, jitter=1.0)
+        candidates = {
+            "logistic_regression": [{"C": c, "solver": "lbfgs"} for c in (0.1, 1.0)],
+            "knn": _staged_grid("knn", (1, 3)),
+            "gradient_boosting": _staged_grid("gradient_boosting", (16, 32)),
+            "perceptron": [{"alpha": 0.0001}],
+        }
+        evaluate_kinds(X, y, X, y, kinds=tuple(candidates), candidates_by_kind=candidates, jobs=2)
+        first_read = log.index(("read cv", "logistic_regression"))
+        early = {kind for name, kind in log[:first_read] if name == "_worker_refit"}
+        assert early == {"knn", "gradient_boosting", "perceptron"}
+        assert log[first_read + 1] == ("_worker_refit", "logistic_regression")
+
+
+class TestReportGradNorm:
+    def test_report_json_carries_the_refits_grad_norm(self):
+        import json
+
+        y = np.repeat([0, 1], 20)
+        X = features_for(y, jitter=1.0)
+        candidates = {
+            "logistic_regression": [{"C": 1.0, "solver": s} for s in ("lbfgs", "sag", "newton-cg")],
+            "knn": [{"n_neighbors": 1}],
+            "perceptron": [{"alpha": 0.0001}],
+        }
+        result = evaluate_kinds(
+            X[::2], y[::2], X[1::2], y[1::2],
+            kinds=tuple(candidates), candidates_by_kind=candidates, seed=0,
+        )
+        reports = {k: json.loads(json.dumps(r.to_dict())) for k, r in result.reports.items()}
+        lr = reports["logistic_regression"]
+        assert lr["converged"] is True and 0.0 < lr["grad_norm"] < 1e-5
+        assert reports["knn"]["grad_norm"] is None
+        assert reports["perceptron"]["grad_norm"] is None
 
 
 class TestRunExperiment:

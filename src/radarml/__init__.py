@@ -1,6 +1,15 @@
 """Synthetic UWB radar obstacle detection: data synthesis, signal
 processing, from-scratch estimators, and reproducible experiments."""
 
+import os
+
+# One BLAS thread per process unless the user set a count: radarml runs
+# its own worker processes, and a BLAS thread pool in each of them only
+# spins against the others. It must be set before numpy loads.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+if not any(var in os.environ for var in _BLAS_THREAD_VARS):
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+
 from .dataset import DATA_TYPES, DatasetFormatError, LabeledDataset, load_dataset, save_dataset
 from .labeling import GRID10, N_CLASSES, SIMPLE4, Grid10Scheme, Simple4Scheme
 from .sigproc import (

@@ -289,12 +289,14 @@ def cmd_run(config: ExperimentConfig, out_dir, data_types, estimators, jobs) -> 
         for path in _dataset_paths(out_dir, entry.dataset_id):
             if not os.path.exists(path):
                 raise MissingInputError(f"dataset file not found: {path}")
-    outcomes = [_run_entry(config, entry, estimators, out_dir, jobs) for entry in plan.entries]
     reports_dir = os.path.join(out_dir, "reports")
     os.makedirs(reports_dir, exist_ok=True)
     payloads = []
     failed = False
-    for dataset_id, result in outcomes:
+    # each entry's report is written as soon as it is done, so a run that
+    # stops midway keeps the reports of the entries before
+    for entry in plan.entries:
+        dataset_id, result = _run_entry(config, entry, estimators, out_dir, jobs)
         payload = _report_payload(dataset_id, result)
         payloads.append(payload)
         path = os.path.join(reports_dir, f"{dataset_id}.json")

@@ -147,16 +147,31 @@ def cross_val_scores(kind, params, X, y, folds, seed=0, stages=None, first=0):
     ``staged_predict``, by default only the last, ``n_stages``. The tuples
     come in the order of ``stages``.
     """
+    return _cv_and_refit(kind, params, X, y, folds, seed, stages, first)[0]
+
+
+def _cv_and_refit(kind, params, X, y, folds, seed, stages, first, refit_seed=None, X_test=None):
+    """(``cross_val_scores``, refit). With ``refit_seed``, one more model of
+    ``params`` with that seed is fit on all of ``X`` in the same
+    ``fit_together`` call, after the folds' models, so a fold's error comes
+    first; refit is then its ``_refit`` outcome on ``X_test`` at ``stages``.
+    Without, refit is None."""
     cls = ESTIMATOR_CLASSES[kind]
     models = [cls(**params, seed=derive_seed(seed, first + fi)) for fi in range(len(folds))]
-    cls.fit_together(models, [X[tr] for tr, _ in folds], [y[tr] for tr, _ in folds])
+    Xs, ys = [X[tr] for tr, _ in folds], [y[tr] for tr, _ in folds]
+    if refit_seed is not None:
+        models.append(cls(**params, seed=refit_seed))
+        Xs.append(X)
+        ys.append(y)
+    cls.fit_together(models, Xs, ys)
     if stages is None:
-        stages = [cls(**params).n_stages]
+        stages = [models[0].n_stages]
     per_fold = []
     for model, (_, va) in zip(models, folds):
         staged = list(model.staged_predict(X[va]))
         per_fold.append([accuracy_percent(y[va], staged[s - 1]) for s in stages])
-    return [tuple(scores) for scores in zip(*per_fold)]
+    refit = None if refit_seed is None else _refit_outcome(models[-1], X_test, stages)
+    return [tuple(scores) for scores in zip(*per_fold)], refit
 
 
 def _shared_fits(cls, candidates):
@@ -326,15 +341,18 @@ def _timed(fn, *args):
     return time.perf_counter() - started, error, value
 
 
-def _refit(kind, params, seed, X, y, X_test, stages=None):
-    """``params`` fit once on the whole training portion: a dict of its test
-    predictions at each stage in ``stages``, by default only its last, then
-    the fit's ``n_iter_``, ``converged_`` and ``grad_norm_`` where it has
-    them."""
+def _refit(kind, params, seed, X, y, X_test):
+    """``params`` fit once on the whole training portion: its
+    ``_refit_outcome`` at its last stage."""
     model = ESTIMATOR_CLASSES[kind](**params, seed=seed)
     model.fit(X, y)
-    if stages is None:
-        stages = (model.n_stages,)
+    return _refit_outcome(model, X_test, (model.n_stages,))
+
+
+def _refit_outcome(model, X_test, stages):
+    """A dict of the test predictions of ``model`` at each stage in
+    ``stages``, then its ``n_iter_``, ``converged_`` and ``grad_norm_``
+    where it has them."""
     staged = enumerate(model.staged_predict(X_test), 1)
     predicted = {stage: labels for stage, labels in staged if stage in stages}
     return predicted, *(getattr(model, name, None) for name in _REFIT_DIAGNOSTICS)
@@ -349,27 +367,29 @@ def _init_worker(data):
     _worker_data = data
 
 
-def _worker_cv(kind, params, seed, stages, start, stop):
-    """The ``_timed`` per-stage scores of one shared fit on ``folds[start:stop]``."""
-    X, y, _, folds = _worker_data
-    return _timed(cross_val_scores, kind, params, X, y, folds[start:stop], seed, stages, start)
+def _worker_cv(kind, params, seed, stages, start, stop, refit_seed=None):
+    """The ``_timed`` ``_cv_and_refit`` of one shared fit on ``folds[start:stop]``."""
+    X, y, X_test, folds = _worker_data
+    return _timed(
+        _cv_and_refit, kind, params, X, y, folds[start:stop], seed, stages, start, refit_seed, X_test
+    )
 
 
-def _worker_refit(kind, params, seed, stages=None):
+def _worker_refit(kind, params, seed):
     X, y, X_test, _ = _worker_data
-    return _timed(_refit, kind, params, seed, X, y, X_test, stages)
+    return _timed(_refit, kind, params, seed, X, y, X_test)
 
 
 def _chunked_search(kind, candidates, fits, chunks):
     """A search's ``_timed`` outcome from those of its CV tasks, fit by fit
-    and chunk by chunk: their seconds summed, the first error in task
-    order, or the max-min-fold winner."""
+    and chunk by chunk, each valued as ``_cv_and_refit``: their seconds
+    summed, the first error in task order, or the max-min-fold winner."""
     seconds = sum(s for s, _, _ in chunks)
     errors = [error for _, error, _ in chunks if error is not None]
     if errors:
         return seconds, errors[0], None
     n_chunks = len(chunks) // len(fits)
-    values = [value for _, _, value in chunks]
+    values = [scores for _, _, (scores, _) in chunks]
     # each fit's per-stage scores, its chunks' folds joined in order
     scores = [
         [sum(stage, ()) for stage in zip(*values[j * n_chunks : (j + 1) * n_chunks])]
@@ -388,14 +408,15 @@ def _pooled_searches(jobs, data, keys):
     grid is one shared fit (one candidate, or candidates that differ only
     in its ``staged_param``) knows its refit before any CV: one fit of the
     group's deepest stage that keeps the test predictions of every stage
-    in the group. Its refit goes in right behind all CV tasks, so the last
-    refit does not run alone while the other workers idle, and
+    in the group. That refit is one more model in the ``fit_together``
+    call of the kind's last chunk, so it shares the chunk's lockstep where
+    the class has one, no refit runs alone after CV, and
     ``evaluate_kinds`` reads the winner's stage after CV (a failed CV
     still wins: it then reads no refit). Any other kind's refit goes in
     once its CV is in and has not failed, behind the tasks still queued.
     Returns, per kind, the ``_timed`` outcomes of its search (its tasks'
     seconds summed, the first error in task order) and of its refit, None
-    when not run.
+    when not run; a refit fit in a CV task counts no seconds of its own.
     """
     folds = data[3]
     n_chunks = min(jobs, len(folds))
@@ -411,26 +432,32 @@ def _pooled_searches(jobs, data, keys):
         return outcomes
     n_tasks = n_chunks * sum(len(fits) for _, fits in plans.values())
     with fork_pool(min(jobs, n_tasks), _init_worker, (data,)) as pool:
-        cv = {
-            kind: [
+        cv = {}
+        for kind, (cands, fits) in plans.items():
+            # a grid of one shared fit refits in the last chunk's fit_together
+            refit_seed = keys[kind][2] if len(fits) == 1 else None
+            cv[kind] = [
                 pool.submit(
-                    _worker_cv, kind, cands[fit.indices[-1]], fit.seed, fit.stages, start, stop
+                    _worker_cv,
+                    kind,
+                    cands[fit.indices[-1]],
+                    fit.seed,
+                    fit.stages,
+                    start,
+                    stop,
+                    refit_seed if stop == len(folds) else None,
                 )
                 for fit in fits
                 for start, stop in zip(edges, edges[1:])
             ]
-            for kind, (cands, fits) in plans.items()
-        }
         refits = {}
-        for kind, (cands, fits) in plans.items():
-            if len(fits) == 1:
-                (fit,) = fits
-                params = cands[fit.indices[-1]]
-                refits[kind] = pool.submit(_worker_refit, kind, params, keys[kind][2], fit.stages)
         for kind in plans:
-            searched = _chunked_search(kind, *plans[kind], [f.result() for f in cv[kind]])
-            outcomes[kind] = (searched, None)
-            if searched[1] is None and kind not in refits:
+            chunks = [f.result() for f in cv[kind]]
+            searched = _chunked_search(kind, *plans[kind], chunks)
+            _, error, value = chunks[-1]
+            refit = None if error is not None or value[1] is None else (0.0, None, value[1])
+            outcomes[kind] = (searched, refit)
+            if searched[1] is None and refit is None:
                 params = searched[2].best.params
                 refits[kind] = pool.submit(_worker_refit, kind, params, keys[kind][2])
         for kind, refit in refits.items():

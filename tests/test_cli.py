@@ -545,6 +545,24 @@ class TestRun:
         assert err.count("\n") == 1
         assert err.startswith("corrupt input: ") and path in err
 
+    def test_a_failed_entry_keeps_the_reports_written_before_it(self, tmp_path, capsys):
+        # two entries; the second's train file is corrupt, so the run stops there
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(yaml.safe_dump({**TINY, "data_types": ["baseband", "motion_filtered"]}))
+        out = str(tmp_path / "out")
+        generate(str(cfg), out)
+        second = os.path.join(out, "datasets", "outdoor-simple4-motion_filtered-train.rds")
+        with open(second, "r+b") as fh:
+            fh.truncate(100)
+        assert main(["run", "--config", str(cfg), "--out", out]) == EXIT_MISSING
+        reports = os.path.join(out, "reports")
+        assert sorted(os.listdir(reports)) == ["outdoor-simple4-baseband.json"]
+        with open(os.path.join(reports, "outdoor-simple4-baseband.json"), "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+        assert payload["errors"] == {}
+        assert set(payload["estimators"]) == {"linear_svc", "decision_tree"}
+        assert second in capsys.readouterr().err
+
     def test_unknown_estimator_exit_code(self, cfg_path, tmp_path):
         out = str(tmp_path / "out")
         generate(cfg_path, out)

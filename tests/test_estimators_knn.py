@@ -119,3 +119,70 @@ class TestInterface:
         X = np.array([[0.0], [10.0]])
         model = KNearestNeighbors(n_neighbors=1).fit(X, np.array([-3, 12]))
         assert model.predict(np.array([[1.0], [9.0]])).tolist() == [-3, 12]
+
+
+def _pairwise_sq_distances(A, B):
+    # the brute force: (a - b)^2 of every pair, summed over the feature axis
+    return ((A[:, None, :] - B[None, :, :]) ** 2).sum(axis=2)
+
+
+def _screen_inputs(case):
+    """(X_train, X_test) of 24 training and 60 query rows for one case."""
+    rng = np.random.default_rng(11)
+    # past 128 features numpy's pairwise sum splits a row's sum in halves
+    n_features = 300 if case == "wide_rows" else 12
+    X_train = rng.normal(size=(24, n_features))
+    X_test = rng.normal(size=(60, n_features))
+    if case == "duplicate_rows":
+        X_train[12:18] = X_train[:6]
+        X_train[18:21] = X_train[0]
+        X_test[:24] = X_train + 1e-9 * rng.normal(size=X_train.shape)
+    elif case == "queries_on_training_rows":
+        X_train[12:16] = X_train[:4]
+        X_test[:24] = X_train
+    elif case == "scaled_1e6":
+        X_train, X_test = 1e6 * X_train, 1e6 * X_test
+    elif case == "scaled_1e-6":
+        X_train, X_test = 1e-6 * X_train, 1e-6 * X_test
+    elif case == "far_from_origin":
+        # rows 1e-3 apart and 1e5 from the origin: g = |q|^2 + |b|^2 - 2 q.b
+        # cancels to its rounding error, so its ranking alone is wrong
+        X_train, X_test = 1e5 + 1e-3 * X_train, 1e5 + 1e-3 * X_test
+    elif case == "integer_grid":
+        X_train, X_test = np.round(X_train), np.round(X_test)
+    elif case == "past_the_screen_limit":
+        # |q|^2 + |b|^2 beyond 2^1000: every training row is ranked exactly
+        X_train, X_test = 1e150 * X_train, 1e150 * X_test
+    return X_train, X_test
+
+
+class TestScreenAgainstBruteForce:
+    """The screened neighbor lists are the first k of a stable argsort of
+    the brute-force distances, ties included, for every k."""
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "duplicate_rows",
+            "queries_on_training_rows",
+            "scaled_1e6",
+            "scaled_1e-6",
+            "far_from_origin",
+            "integer_grid",
+            "past_the_screen_limit",
+            "wide_rows",
+        ],
+    )
+    def test_every_k_matches_the_stable_argsort(self, case):
+        X_train, X_test = _screen_inputs(case)
+        n_train = X_train.shape[0]
+        y_train = np.arange(n_train) % 5
+        ranked = np.argsort(_pairwise_sq_distances(X_test, X_train), axis=1, kind="stable")
+        # votes[i, j, c]: brute-force neighbors among the j + 1 nearest in class c
+        votes = np.cumsum(y_train[ranked][:, :, None] == np.arange(5), axis=1)
+        for k in range(1, n_train + 1):
+            model = KNearestNeighbors(n_neighbors=k).fit(X_train, y_train)
+            nearest = np.concatenate([rows for _, rows in model._nearest(X_test)])
+            np.testing.assert_array_equal(nearest, ranked[:, :k], err_msg=f"k={k}")
+            for j, labels in enumerate(model.staged_predict(X_test)):
+                np.testing.assert_array_equal(labels, np.argmax(votes[:, j], axis=1))

@@ -348,22 +348,24 @@ class TestJobs:
     @pytest.mark.parametrize(
         "kinds, candidates",
         [
-            # one kind, one candidate: its refit goes in with its CV
+            # one kind, one candidate: its refit is fit in its last CV chunk
             (("extra_trees",), {"extra_trees": [{"n_estimators": 16, "criterion": "gini", "max_features": "auto"}]}),
-            # one-candidate kinds beside a kind whose refit waits for its CV
+            # refits in the last CV chunk (a single candidate, k-NN's staged
+            # grid) beside a kind of two fits, whose refit waits for its CV
             (
                 ("linear_svc", "knn", "decision_tree"),
                 {
-                    "linear_svc": [{"C": 1.0}],
+                    "linear_svc": [{"C": 0.1}, {"C": 1.0}],
                     "knn": [{"n_neighbors": k} for k in (1, 3, 5)],
                     "decision_tree": [{"criterion": "entropy", "max_features": "sqrt"}],
                 },
             ),
             # a one-candidate CV that fails (folds train on 16 rows) while
-            # its early refit (20 rows) succeeds: the error stands
+            # its refit alone (20 rows) would succeed: the fold's error
+            # stands, since the refit is fit after the chunk's folds
             (("knn",), {"knn": [{"n_neighbors": 17}]}),
         ],
-        ids=["one_kind", "mixed_kinds", "failed_cv"],
+        ids=["one_kind", "joined_beside_waiting", "failed_cv"],
     )
     def test_one_candidate_refits_go_in_with_their_cv(self, kinds, candidates):
         # held-out rows of overlapping classes, so test predictions depend
@@ -382,6 +384,29 @@ class TestJobs:
         else:
             assert errors == {} and set(reports) == set(kinds)
         assert multiprocessing.active_children() == []
+
+    def test_refit_in_a_cv_chunk_ends_as_a_lone_refit(self):
+        # the perceptron's refit steps in lockstep with its last chunk's
+        # folds; overlapping classes, so no fit converges early
+        y = np.repeat([0, 1, 2], 12)
+        X = features_for(y, jitter=2.5)
+        X_test = features_for(y, seed=1, jitter=2.5)
+        candidates = {
+            "perceptron": [{"alpha": 0.0001}],
+            "logistic_regression": [{"C": 1.0, "solver": "sag"}],
+            "gradient_boosting": [{"n_estimators": 16, "learning_rate": 0.5}],
+        }
+        kw = dict(kinds=tuple(candidates), candidates_by_kind=candidates, seed=8)
+        reports = []
+        for jobs in (1, 2, 4):
+            result = evaluate_kinds(X, y, X_test, y, **kw, jobs=jobs)
+            assert result.errors == {}
+            reports.append(
+                {kind: {**r.to_dict(), "seconds": 0} for kind, r in result.reports.items()}
+            )
+        assert reports[0] == reports[1] == reports[2]
+        assert reports[0]["perceptron"]["converged"] is False
+        assert reports[0]["logistic_regression"]["grad_norm"] is not None
 
     def test_error_is_the_first_in_task_order(self):
         # classes of 10 and 9 rows: folds 0-3 train on 15, fold 4 on 16, so
@@ -429,10 +454,12 @@ class TestSharedFitRefits:
         rng = np.random.default_rng(2)
         X, X_test = (rng.normal(size=(y.size, 3)) + 0.7 * y[:, None] for _ in range(2))
         grid = _staged_grid(kind, stages)
-        predicted, *_ = modelsel._refit(kind, grid[-1], 5, X, y, X_test, stages)
+        # the refit a last CV chunk fits beside its folds
+        folds = stratified_kfold(y, 5, seed=1)[3:]
+        _, (predicted, *_) = modelsel._cv_and_refit(kind, grid[-1], X, y, folds, 4, stages, 3, 5, X_test)
         assert sorted(predicted) == list(stages)
         for stage, params in zip(stages, grid):
-            alone, *_ = modelsel._refit(kind, params, 5, X, y, X_test, (stage,))
+            alone, *_ = modelsel._refit(kind, params, 5, X, y, X_test)
             np.testing.assert_array_equal(predicted[stage], alone[stage])
         assert len({predicted[stage].tobytes() for stage in stages}) > 1
 
@@ -455,7 +482,7 @@ class TestSharedFitRefits:
         assert reports["knn"][0]["n_neighbors"] < 6
         assert multiprocessing.active_children() == []
 
-    def test_refits_of_one_shared_fit_go_in_before_any_cv_is_read(self, monkeypatch):
+    def test_refits_of_one_shared_fit_join_their_last_cv_chunk(self, monkeypatch):
         # the pool is swapped for threads that log what the scheduler does
         log = []
 
@@ -464,13 +491,14 @@ class TestSharedFitRefits:
                 super().__init__(workers, initializer=initializer, initargs=initargs)
 
             def submit(self, fn, *args):
-                log.append((fn.__name__, args[0]))
+                # (task, kind, whether a CV task carries a refit seed)
+                log.append((fn.__name__, args[0], fn.__name__ == "_worker_cv" and args[-1] is not None))
                 return super().submit(fn, *args)
 
         chunked = modelsel._chunked_search
 
         def logged(kind, *args):
-            log.append(("read cv", kind))
+            log.append(("read cv", kind, False))
             return chunked(kind, *args)
 
         monkeypatch.setattr(modelsel, "fork_pool", LoggingPool)
@@ -484,10 +512,17 @@ class TestSharedFitRefits:
             "perceptron": [{"alpha": 0.0001}],
         }
         evaluate_kinds(X, y, X, y, kinds=tuple(candidates), candidates_by_kind=candidates, jobs=2)
-        first_read = log.index(("read cv", "logistic_regression"))
-        early = {kind for name, kind in log[:first_read] if name == "_worker_refit"}
-        assert early == {"knn", "gradient_boosting", "perceptron"}
-        assert log[first_read + 1] == ("_worker_refit", "logistic_regression")
+        # two chunks per shared fit: the second of a one-fit kind carries its refit
+        cv = [(kind, joined) for name, kind, joined in log if name == "_worker_cv"]
+        assert cv == [("logistic_regression", False)] * 4 + [
+            (kind, joined) for kind in ("knn", "gradient_boosting", "perceptron") for joined in (False, True)
+        ]
+        first_read = log.index(("read cv", "logistic_regression", False))
+        assert log[: first_read] == [("_worker_cv", kind, joined) for kind, joined in cv]
+        assert [entry for entry in log if entry[0] == "_worker_refit"] == [
+            ("_worker_refit", "logistic_regression", False)
+        ]
+        assert log[first_read + 1] == ("_worker_refit", "logistic_regression", False)
 
 
 class TestReportGradNorm:

@@ -5,12 +5,17 @@ forest variants (exhaustive and random-threshold splitters) and the
 regression trees inside gradient boosting. Ties in the split search are
 broken deterministically: lowest feature index first, then lowest
 threshold.
+
+Regression trees never sort a node: a node's stable per-feature order
+is the fit's presorted order restricted to its rows, so it is looked up
+by row set (``Presorted.order_of``) and shared by every tree of the fit
+that reaches the same rows.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,6 +26,13 @@ CRITERIA = ("gini", "entropy")
 # Minimum improvement for a regression split; guards against accepting
 # pure float noise on constant targets.
 _REG_GAIN_ATOL = 1e-12
+
+# Bytes of node orders one fit keeps (``Presorted.order_of``). The default
+# plan's matrices have at most 200 rows, so an order is uint8, m x 480
+# bytes for m rows. A 256-stage fit on a 160-row grid10 fold keeps about
+# 600 orders (22-24 MB); the 200-row grid10 refit at 256 stages fills the
+# budget, and a 64-row simple4 fold keeps under 1 MB.
+_ORDER_BUDGET = 32 << 20
 
 
 def impurity(counts, criterion: str) -> float:
@@ -270,45 +282,77 @@ def grow_classification(
 
 @dataclass
 class Presorted:
-    """``presort`` output: one training matrix and its per-feature order,
-    plus the workspace every node of every tree grown on it reuses."""
+    """``presort`` output: one training matrix, its per-feature order, the
+    node orders found so far, and the workspace every node of every tree
+    grown on it reuses."""
 
     X: np.ndarray  # (n, d) training matrix
     order: np.ndarray  # (d, n): order[f] lists the rows by ascending X[:, f], ties by row
     tied: np.ndarray  # the features holding two equal values, ascending
-    sums: np.ndarray  # (n, d) scratch: a node's prefix sums, then its gains
+    sums: np.ndarray  # (n, d) scratch: a node's prefix sums, then its scores
     right: np.ndarray  # (n, d) scratch: a node's right-child terms
+    memo: dict = field(default_factory=dict)  # row-set bytes -> ``order_of`` of that set
+    memo_bytes: int = 0  # bytes of the orders in ``memo``
+
+    def order_of(self, rows) -> np.ndarray:
+        """Stable per-feature order of the ascending row ids ``rows``.
+
+        Returns (m, d): column f lists ``rows`` by ascending ``X[:, f]``,
+        ties by row, which is ``order[f]`` with the other rows left out.
+        It depends on the row set alone, so every tree of a fit that
+        reaches the same rows reads the order kept from the first, until
+        the kept orders fill ``_ORDER_BUDGET`` bytes.
+        """
+        key = rows.tobytes()
+        found = self.memo.get(key)
+        if found is not None:
+            return found
+        member = np.zeros(self.X.shape[0], dtype=bool)
+        member[rows] = True
+        # a flat take and compress are about 3x faster than a boolean index
+        # of the 2-D order; "clip" skips the bounds check of in-range ids
+        kept = self.order.compress(np.take(member, self.order, mode="clip").ravel())
+        found = np.ascontiguousarray(kept.reshape(-1, rows.size).T)
+        found.flags.writeable = False  # shared by every node with these rows
+        if self.memo_bytes + found.nbytes <= _ORDER_BUDGET:
+            self.memo[key] = found
+            self.memo_bytes += found.nbytes
+        return found
 
 
 def presort(X) -> Presorted:
     """Stable sort of every column of ``X``, once per fit.
 
-    Also finds the features with ties: only their adjacent sorted pairs
-    can be equal, so only they need a tie mask in a node's split search.
+    The order is held in the smallest unsigned dtype that can name every
+    row (uint8 up to 256 rows), which is also the dtype of every node
+    order ``order_of`` keeps. Also finds the features with ties: only
+    their adjacent sorted pairs can be equal, so only they need a tie
+    mask in a node's split search.
     """
     XT = X.T
     order = np.argsort(XT, axis=1, kind="stable")
     values = np.take_along_axis(XT, order, axis=1)
     tied = np.flatnonzero((values[:, 1:] == values[:, :-1]).any(axis=1))
+    order = order.astype(np.min_scalar_type(X.shape[0] - 1))
     return Presorted(X, order, tied, np.empty(X.shape), np.empty(X.shape))
 
 
 def best_split_regression(sorted_x, order, targets):
     """Exhaustive SSE-minimizing split of one node; None when nothing improves.
 
-    ``order`` is the node's part of ``sorted_x.order``, one row per
-    feature; ``targets`` is indexed by it. The arithmetic runs in the
-    workspace of ``sorted_x``. Returns (feature, threshold, gain, n_left):
-    the first ``n_left`` rows of ``order[feature]`` go left. Exact ties
-    go to the lowest feature, then the lowest threshold.
+    ``order`` is ``sorted_x.order_of`` the node's rows, (m, d);
+    ``targets`` is indexed by it. The arithmetic runs in the workspace of
+    ``sorted_x``. Returns (feature, threshold, gain, n_left): the first
+    ``n_left`` rows of ``order[:, feature]`` go left. Exact ties go to
+    the lowest feature, then the lowest threshold.
     """
-    m = order.shape[1]
+    m = order.shape[0]
     if m < 2:
         return None
     # Sample-major prefix sums by row adds: the same sequential rounding
     # as a cumsum per feature, without its one dependent chain per column.
-    sums = sorted_x.sums[:m]
-    sums[...] = targets[order.T]
+    # ("clip" on in-range ids: the default "raise" buffers ``out``, 5x slower.)
+    sums = np.take(targets, order, out=sorted_x.sums[:m], mode="clip")
     prev = sums[0]
     for row in sums[1:]:
         row += prev
@@ -321,36 +365,38 @@ def best_split_regression(sorted_x, order, targets):
     right = np.subtract(tot, csum, out=sorted_x.right[: m - 1])
     right *= right
     right /= m - nl
-    gain = csum
-    gain *= gain
-    gain /= nl
-    gain += right
+    score = csum
+    score *= score
+    score /= nl
+    score += right
     parent = tot**2 / m
-    gain -= parent
     tied = sorted_x.tied
     if tied.size:
         # sorted values, so a pair that does not increase is a tie
-        values = sorted_x.X[order[tied], tied[:, None]]
-        gain[:, tied] = np.where((values[:, 1:] == values[:, :-1]).T, -np.inf, gain[:, tied])
-    # lowest feature, then lowest position, among the maxima
-    best_by_feature = gain.max(axis=0)
+        values = sorted_x.X[order[:, tied], tied]
+        score[:, tied] = np.where(values[1:] == values[:-1], -np.inf, score[:, tied])
+    # The gain is fl(score - parent), nondecreasing in the score, so a
+    # feature's best gain is its best score minus parent, and the first
+    # maximum of one column's gains is the split. Lowest feature, then
+    # lowest position, among the maxima.
+    best_by_feature = score.max(axis=0) - parent
     fi = int(np.argmax(best_by_feature))
     best = float(best_by_feature[fi])
     if not np.isfinite(best) or best <= _REG_GAIN_ATOL * max(1.0, float(np.abs(parent).max())):
         return None
-    pos = int(np.argmax(gain[:, fi]))
+    pos = int(np.argmax(score[:, fi] - parent[fi]))
     # a tied pair never wins, so the values at pos and pos + 1 increase
     # strictly and exactly the rows up to pos lie at or below the midpoint
     X = sorted_x.X
-    return fi, _midpoint(X[order[fi, pos], fi], X[order[fi, pos + 1], fi]), best, pos + 1
+    return fi, _midpoint(X[order[pos, fi], fi], X[order[pos + 1, fi], fi]), best, pos + 1
 
 
 def grow_regression(sorted_x, targets, max_depth):
     """Mean-leaf regression tree, exhaustive splits over all features.
 
-    ``sorted_x`` is ``presort`` of the training matrix. Only its
-    ``order`` is carried down, by stable partition, so each node's rows
-    stay in the stable sorted order a per-node sort would give; split
+    ``sorted_x`` is ``presort`` of the training matrix. Only the row ids
+    are carried down, ascending; a node that is searched looks its
+    stable per-feature order up with ``sorted_x.order_of``, and split
     thresholds are read from ``sorted_x.X``. Returns the tree and each
     training row's leaf index.
     """
@@ -358,35 +404,29 @@ def grow_regression(sorted_x, targets, max_depth):
     leaf = np.empty(n, dtype=np.int64)
     builder = _TreeBuilder()
     root = builder.add()
-    stack = [(np.arange(n), sorted_x.order, 0, root)]
+    stack = [(np.arange(n), 0, root)]
     while stack:
-        idx, order, depth, node = stack.pop()
+        idx, depth, node = stack.pop()
         builder.value[node] = float(targets[idx].sum() / idx.size)  # np.mean's bits, not its overhead
         leaf[idx] = node  # a split overwrites this with the children's
         if idx.size < 2 or depth >= max_depth:
             continue
+        order = sorted_x.order_of(idx)
         found = best_split_regression(sorted_x, order, targets)
         if found is None:
             continue
         feat, thr, _, n_left = found
         go_left = np.zeros(n, dtype=bool)
-        go_left[order[feat, :n_left]] = True
+        go_left[order[:n_left, feat]] = True
         left_node = builder.add()
         right_node = builder.add()
         builder.feature[node] = feat
         builder.threshold[node] = thr
         builder.left[node] = left_node
         builder.right[node] = right_node
-        # children at max_depth are never split, so they skip the partition
-        order_left = go_left[order] if depth + 1 < max_depth else None
-        for side, child in ((False, right_node), (True, left_node)):
-            rows = idx[go_left[idx] == side]
-            if order_left is None:
-                stack.append((rows, None, depth + 1, child))
-                continue
-            # flat positions, row by row, so each feature keeps its order
-            keep = np.flatnonzero(order_left == side)
-            stack.append((rows, order.take(keep).reshape(order.shape[0], rows.size), depth + 1, child))
+        side = go_left[idx]
+        stack.append((idx[~side], depth + 1, right_node))
+        stack.append((idx[side], depth + 1, left_node))
     return builder.freeze(), leaf
 
 

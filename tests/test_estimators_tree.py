@@ -271,7 +271,7 @@ class TestRegressionTree:
     def test_no_split_returns_none_on_constant_targets(self):
         X = np.arange(6.0).reshape(-1, 1)
         sorted_x = presort(X)
-        assert best_split_regression(sorted_x, sorted_x.order, np.ones(6)) is None
+        assert best_split_regression(sorted_x, sorted_x.order_of(np.arange(6)), np.ones(6)) is None
 
     def test_depth_zero_is_global_mean(self):
         X = np.arange(10.0).reshape(-1, 1)

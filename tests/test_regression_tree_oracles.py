@@ -6,7 +6,8 @@ sample-major rewrite (a per-feature ``np.cumsum``, sorted ``values``
 carried down the tree next to ``order``, a tie mask on every feature),
 kept here verbatim apart from their names. The rewritten kernels must
 grow the same node arrays and leaf indices byte for byte, and gradient
-boosting must fit the same stages.
+boosting must fit the same stages. A node's order, looked up by row set
+(``Presorted.order_of``), must equal a stable sort of its rows.
 """
 
 import contextlib
@@ -18,12 +19,13 @@ import yaml
 
 from radarml import cli, dataset, modelsel
 from radarml.config import DEFAULT_CONFIG
-from radarml.estimators import ensemble
+from radarml.estimators import ensemble, tree
 from radarml.estimators.ensemble import GradientBoosting
 from radarml.estimators.tree import (
     _REG_GAIN_ATOL,
     _midpoint,
     _TreeBuilder,
+    best_split_regression,
     grow_regression,
     presort,
 )
@@ -267,3 +269,195 @@ def test_gradient_boosting_folds_match_frozen_kernels(simple4_train, monkeypatch
             for nodes, want_nodes in zip(stage, want_stage):
                 for field in ("feature", "threshold", "left", "right", "value"):
                     assert getattr(nodes, field).tobytes() == getattr(want_nodes, field).tobytes()
+
+
+def stable_order(X, rows):
+    """Each column of ``X[rows]``'s rows by ascending value, ties by row."""
+    return rows[np.argsort(X[rows], axis=0, kind="stable")]
+
+
+def matrices():
+    rng = np.random.default_rng(600)
+    base = rng.normal(size=(15, 9))
+    return {
+        "continuous": rng.normal(size=(48, 9)),
+        "rounded": tie_some(rng.normal(size=(48, 9)), rng),
+        "duplicated_rows": base[rng.integers(0, 15, size=48)],
+    }
+
+
+class TestOrderOf:
+    @pytest.mark.parametrize("kind", ["continuous", "rounded", "duplicated_rows"])
+    def test_matches_a_stable_sort_of_the_rows(self, kind):
+        X = matrices()[kind]
+        sorted_x = presort(X)
+        rng = np.random.default_rng(601)
+        for m in (1, 2, 3, 10, 31, 48):
+            for _ in range(3):
+                rows = np.sort(rng.choice(X.shape[0], size=m, replace=False))
+                got = sorted_x.order_of(rows)
+                assert got.shape == (m, X.shape[1]) and got.dtype == np.uint8
+                np.testing.assert_array_equal(got, stable_order(X, rows))
+                # a second lookup of the same rows reads the kept order,
+                # which no caller can write to
+                assert sorted_x.order_of(rows.copy()) is got
+                assert not got.flags.writeable
+
+    def test_dtype_names_every_row(self):
+        rng = np.random.default_rng(602)
+        for n, dtype in ((256, np.uint8), (257, np.uint16)):
+            X = np.round(rng.normal(size=(n, 3)), 1)
+            rows = np.sort(rng.choice(n, size=n // 2, replace=False))
+            got = presort(X).order_of(rows)
+            assert got.dtype == dtype
+            np.testing.assert_array_equal(got, stable_order(X, rows))
+
+    def test_memo_stays_within_the_budget(self, monkeypatch):
+        X = matrices()["rounded"]
+        # room for the orders of 100 rows in all: lookups past it are
+        # computed, correct and not kept
+        monkeypatch.setattr(tree, "_ORDER_BUDGET", 100 * X.shape[1])
+        sorted_x = presort(X)
+        rng = np.random.default_rng(603)
+        for _ in range(40):
+            rows = np.sort(rng.choice(X.shape[0], size=rng.integers(1, 30), replace=False))
+            np.testing.assert_array_equal(sorted_x.order_of(rows), stable_order(X, rows))
+            kept = sum(order.nbytes for order in sorted_x.memo.values())
+            assert kept == sorted_x.memo_bytes <= tree._ORDER_BUDGET
+        assert sorted_x.memo and sorted_x.memo_bytes > tree._ORDER_BUDGET - 30 * X.shape[1]
+
+
+@pytest.fixture(scope="module")
+def grid10_fold(tmp_path_factory):
+    """The first 160-row CV fold of a 10-class motion-filtered train set."""
+    out = tmp_path_factory.mktemp("grid10")
+    config = out / "config.yaml"
+    raw = {
+        "seed": 5,
+        "n_per_class": 200,
+        "scenarios": {"outdoor": DEFAULT_CONFIG["scenarios"]["outdoor"]},
+        "schemes": ["grid10"],
+    }
+    config.write_text(yaml.safe_dump(raw))
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["generate", "--config", str(config), "--out", str(out), "--data-type", "motion_filtered"])
+    assert code == cli.EXIT_OK
+    train_path, _ = cli._dataset_paths(str(out), "outdoor-grid10-motion_filtered")
+    train = dataset.load_dataset(train_path)
+    train_idx, _ = modelsel.stratified_kfold(train.labels, 5, seed=1)[0]
+    return train.scans[train_idx], train.labels[train_idx]
+
+
+def assert_same_stages(got, want, n_stages):
+    assert got.init_scores_.tobytes() == want.init_scores_.tobytes()
+    assert got.train_deviance_.tobytes() == want.train_deviance_.tobytes()
+    assert len(got.stages_) == len(want.stages_) == n_stages
+    for stage, want_stage in zip(got.stages_, want.stages_):
+        for nodes, want_nodes in zip(stage, want_stage):
+            for field in ("feature", "threshold", "left", "right", "value"):
+                assert getattr(nodes, field).tobytes() == getattr(want_nodes, field).tobytes()
+
+
+class TestEveryLookupMisses:
+    """With no budget nothing is kept, so every node's order is computed
+    afresh; the fit must still be the frozen kernels' fit, also where
+    later trees reach the row sets of earlier ones."""
+
+    def fit_without_memo(self, monkeypatch, X, y, n_stages):
+        presorted, lookups = [], []
+        order_of = tree.Presorted.order_of
+
+        def counted(sorted_x, rows):
+            lookups.append(rows.tobytes())
+            return order_of(sorted_x, rows)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(tree, "_ORDER_BUDGET", 0)
+            patch.setattr(tree.Presorted, "order_of", counted)
+            patch.setattr(ensemble, "presort", lambda X: presorted.append(presort(X)) or presorted[-1])
+            got = GradientBoosting(n_estimators=n_stages, learning_rate=0.5).fit(X, y)
+        (sorted_x,) = presorted
+        assert sorted_x.memo == {} and sorted_x.memo_bytes == 0
+        assert len(set(lookups)) < len(lookups) / 2  # most row sets recur
+        want = frozen_gb_fit(monkeypatch, GradientBoosting(n_estimators=n_stages, learning_rate=0.5), X, y)
+        assert_same_stages(got, want, n_stages)
+
+    def test_ten_class_fold(self, grid10_fold, monkeypatch):
+        X, y = grid10_fold
+        assert X.shape == (160, 480) and np.unique(y).size == 10
+        self.fit_without_memo(monkeypatch, X, y, 12)
+
+    def test_some_features_tie(self, monkeypatch):
+        rng = np.random.default_rng(604)
+        X = tie_some(rng.normal(size=(60, 40)), rng)
+        y = np.repeat(np.arange(3), 20)
+        assert presort(X).tied.size
+        self.fit_without_memo(monkeypatch, X, y, 24)
+
+    def test_memo_holds_a_ten_class_fit(self, grid10_fold, monkeypatch):
+        # the same fit with the memo on: same stages, orders kept
+        X, y = grid10_fold
+        presorted = []
+        with monkeypatch.context() as patch:
+            patch.setattr(ensemble, "presort", lambda X: presorted.append(presort(X)) or presorted[-1])
+            got = GradientBoosting(n_estimators=12, learning_rate=0.5).fit(X, y)
+        assert 0 < presorted[0].memo_bytes <= tree._ORDER_BUDGET
+        want = frozen_gb_fit(monkeypatch, GradientBoosting(n_estimators=12, learning_rate=0.5), X, y)
+        assert_same_stages(got, want, 12)
+
+
+def split_of(X, rows, targets):
+    """``best_split_regression`` of a node and the frozen kernel's split,
+    with the left-child size the frozen kernel implies."""
+    sorted_x = presort(X)
+    got = best_split_regression(sorted_x, sorted_x.order_of(rows), targets)
+    order = stable_order(X, rows).T
+    values = np.take_along_axis(X.T, order, axis=1)
+    want = frozen_best_split_regression(order, values, targets)
+    if want is not None:
+        fi, thr, _ = want
+        want = (*want, int(np.searchsorted(values[fi], thr, side="right")))
+    return got, want
+
+
+def assert_same_split(got, want):
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert got[0] == want[0] and got[3] == want[3]
+        assert np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes()
+        assert np.float64(got[2]).tobytes() == np.float64(want[2]).tobytes()
+
+
+class TestSplitSelectionMatchesFrozenKernel:
+    """The split search subtracts the parent term from one column only, not
+    from every gain; the winner and its gain must not move."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_identical_features_pick_the_lower(self, seed):
+        rng = np.random.default_rng(700 + seed)
+        col = rng.normal(size=30)
+        X = np.column_stack([rng.normal(size=30), col, col, rng.normal(size=30), col])
+        g = (col > 0.3) + rng.normal(scale=0.05, size=30)
+        rows = np.arange(30)
+        got, want = split_of(X, rows, g)
+        assert_same_split(got, want)
+        assert got[0] == 1
+
+    @pytest.mark.parametrize("offset", [0.0, 3.0, -7.5])
+    def test_symmetric_targets_pick_the_first_position(self, offset):
+        # the first and last cuts score the same; the first must win
+        X = np.arange(6.0).reshape(-1, 1)
+        g = offset + np.array([2.0, -1.0, -1.0, -1.0, -1.0, 2.0])
+        got, want = split_of(X, np.arange(6), g)
+        assert_same_split(got, want)
+        assert got[3] == 1
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("offset", [1e8, -1e8, 1e12])
+    def test_large_common_offset(self, seed, offset):
+        # the parent term dwarfs the score differences between cuts
+        rng = np.random.default_rng(800 + seed)
+        X = tie_some(rng.normal(size=(40, 12)), rng)
+        g = offset + rng.normal(size=40)
+        for rows in (np.arange(40), np.sort(rng.choice(40, size=17, replace=False))):
+            assert_same_split(*split_of(X, rows, g))

@@ -11,7 +11,7 @@ if not any(var in os.environ for var in _BLAS_THREAD_VARS):
     os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
 
 from .dataset import DATA_TYPES, DatasetFormatError, LabeledDataset, load_dataset, save_dataset
-from .labeling import GRID10, N_CLASSES, SIMPLE4, Grid10Scheme, Simple4Scheme
+from .labeling import N_CLASSES, SCHEMES, Grid10Scheme, Simple4Scheme
 from .sigproc import (
     DegenerateScanError,
     analytic_envelope,
@@ -31,8 +31,7 @@ __all__ = [
     "LabeledDataset",
     "load_dataset",
     "save_dataset",
-    "GRID10",
-    "SIMPLE4",
+    "SCHEMES",
     "N_CLASSES",
     "Grid10Scheme",
     "Simple4Scheme",

@@ -9,10 +9,13 @@ Exit codes: 0 success, 2 configuration error (including a config whose
 scan samples leave the sample limit, or whose scans are so flat that
 standardization leaves a class fewer than two rows), 3 missing or corrupt
 input, 4 estimator failure. Code 3 covers a dataset file or report that
-is absent, a ``.rds`` file that is truncated or does not follow the
-documented layout (``run``), and a report JSON that does not parse or
-lacks a field the ranking reads (``report``); each prints one line to
-stderr naming the file. All outputs are written atomically and reruns
+is absent; for ``run``, a ``.rds`` file that is truncated, does not
+follow the documented layout, holds a label outside its scheme, or whose
+header names another scheme, data type, scenario or bin count than its
+plan entry, and a train file with fewer examples of some class than
+there are folds; and for ``report``, a report JSON that does not parse
+or lacks a field the ranking reads. Each prints one line to stderr
+naming the file. All outputs are written atomically and reruns
 with the same seed reproduce dataset files and the aggregate table byte
 for byte.
 """
@@ -29,7 +32,6 @@ import numpy as np
 import yaml
 
 from .config import (
-    SCHEMES,
     ConfigError,
     ExperimentConfig,
     build_plan,
@@ -40,17 +42,16 @@ from .dataset import (
     DATA_TYPES,
     DatasetFormatError,
     LabeledDataset,
-    check_labels,
     load_dataset,
     save_dataset,
     write_atomic,
 )
 from .estimators import KINDS
-from .labeling import N_CLASSES
-from .modelsel import default_jobs, evaluate_kinds, fork_pool, stratified_split, use_pool
+from .labeling import N_CLASSES, SCHEMES
+from .modelsel import default_jobs, evaluate_kinds, fork_pool, stratified_kfold, stratified_split, use_pool
 from .seeding import derive_seed
 from .sigproc import derive_dataset, standardize_dataset
-from .synth import balanced_labels, generate_dataset
+from .synth import generate_dataset
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -88,7 +89,7 @@ def _dataset_paths(out_dir, dataset_id):
 def _entry_keys(config: ExperimentConfig, entry):
     """Stable integer keys for seed derivation, independent of filters."""
     si = [s.scenario_id for s in config.scenarios].index(entry.scenario.scenario_id)
-    schi = SCHEMES.index(entry.scheme)
+    schi = list(SCHEMES).index(entry.scheme)
     dti = DATA_TYPES.index(entry.data_type)
     return si, schi, dti
 
@@ -99,7 +100,7 @@ def _sidecar(ds: LabeledDataset, rows, entry, config: ExperimentConfig, role, co
     meta = {
         "format": "RDS1",
         "version": 1,
-        "dataset_id": ds.dataset_id,
+        "dataset_id": entry.dataset_id,
         "role": role,
         "counterpart": counterpart,
         "scheme": ds.scheme,
@@ -135,10 +136,8 @@ def _generate_group(config: ExperimentConfig, keys, members, out_dir):
     written = []
     si, schi = keys
     first = members[0][0]
-    scheme = config.scheme_object(first.scheme)
-    labels = balanced_labels(scheme, config.n_per_class)
-    check_labels(labels, scheme.kind)
-    n, n_bins = labels.size, first.scenario.n_bins
+    scheme = SCHEMES[first.scheme]
+    n, n_bins = scheme.n_classes * config.n_per_class, first.scenario.n_bins
     data_types = [entry.data_type for entry, _ in members]
     scans = {dt: np.empty((n, n_bins)) for dt in data_types}
     kept = {dt: np.empty(n, dtype=np.int64) for dt in data_types}  # labels of the kept rows
@@ -208,7 +207,7 @@ def cmd_generate(config: ExperimentConfig, out_dir, data_types, jobs) -> int:
     if use_pool(jobs) and len(groups) > 1:
         # one group per task, those of the most classes (so examples) first,
         # so that the small ones fill in at the end
-        classes = [N_CLASSES[SCHEMES[schi]] for _, schi in members]
+        classes = [N_CLASSES[group[0][0].scheme] for group in members.values()]
         with fork_pool(min(jobs, len(groups))) as pool:
             futures = {
                 g: pool.submit(_generate_group, *groups[g])
@@ -240,10 +239,34 @@ def cmd_generate(config: ExperimentConfig, out_dir, data_types, jobs) -> int:
     return EXIT_OK
 
 
+def _load_entry_file(path, entry):
+    """The dataset at ``path``; CorruptInputError when its header names
+    another scheme, data type, scenario or bin count than ``entry``."""
+    ds = load_dataset(path)
+    planned = {
+        "scheme": entry.scheme,
+        "data_type": entry.data_type,
+        "scenario_id": entry.scenario.scenario_id,
+        "n_bins": entry.scenario.n_bins,
+    }
+    wrong = [
+        f"{name} {getattr(ds, name)!r}, not the plan entry's {want!r}"
+        for name, want in planned.items()
+        if getattr(ds, name) != want
+    ]
+    if wrong:
+        raise CorruptInputError(f"{path}: header has {'; '.join(wrong)}")
+    return ds
+
+
 def _run_entry(config: ExperimentConfig, entry, estimators, out_dir, jobs):
     train_path, test_path = _dataset_paths(out_dir, entry.dataset_id)
-    train = load_dataset(train_path)
-    test = load_dataset(test_path)
+    train = _load_entry_file(train_path, entry)
+    test = _load_entry_file(test_path, entry)
+    try:  # the folds that evaluate_kinds deals, for their checks only
+        stratified_kfold(train.labels, config.n_folds)
+    except ValueError as exc:
+        raise CorruptInputError(f"{train_path}: {exc}") from None
     si, schi, dti = _entry_keys(config, entry)
     result = evaluate_kinds(
         train.scans,

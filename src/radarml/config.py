@@ -16,7 +16,7 @@ import yaml
 
 from .dataset import DATA_TYPES
 from .estimators import KINDS
-from .labeling import GRID10, SIMPLE4, Grid10Scheme, Simple4Scheme
+from .labeling import SCHEMES, Simple4Scheme
 from .modelsel import DEFAULT_N_FOLDS, DEFAULT_TRAIN_FRACTION, _round_half_up
 from .seeding import derive_seed
 from .synth import (
@@ -27,9 +27,6 @@ from .synth import (
 )
 
 _SCENARIO_SEED_KEY = 201
-
-SCHEMES = (SIMPLE4, GRID10)
-_SCHEME_OBJECTS = {SIMPLE4: Simple4Scheme(), GRID10: Grid10Scheme()}
 
 
 def _field_types(cls, skip=()):
@@ -132,10 +129,10 @@ class TargetParams:
             raise ValueError("reflectivity must be positive")
         if self.jitter_sigma < 0:
             raise ValueError("jitter_sigma must be nonnegative")
-        r_high = _SCHEME_OBJECTS[SIMPLE4].r_high
+        r_high = Simple4Scheme.R_HIGH
         if not 0 < self.min_range < r_high:
             raise ValueError(
-                f"min_range must lie above 0 and below the {SIMPLE4} high-risk boundary, {r_high} m"
+                f"min_range must lie above 0 and below the {Simple4Scheme.kind} high-risk boundary, {r_high} m"
             )
 
 
@@ -153,9 +150,6 @@ class ExperimentConfig:
     schemes: tuple  # of scheme kind strings
     data_types: tuple
     estimators: tuple
-
-    def scheme_object(self, kind: str):
-        return _SCHEME_OBJECTS[kind]
 
 
 @dataclass(frozen=True)
@@ -251,7 +245,7 @@ def parse_config(raw) -> ExperimentConfig:
     schemes = _string_list(merged["schemes"], SCHEMES, "schemes")
     for sc in scenarios:
         for kind in schemes:
-            reach = _SCHEME_OBJECTS[kind].max_range
+            reach = SCHEMES[kind].max_range
             if sc.window_m <= reach:
                 raise ConfigError(
                     f"scenarios.{sc.scenario_id}: the {sc.window_m:.3f} m scan window does "

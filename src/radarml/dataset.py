@@ -51,7 +51,7 @@ class DatasetFormatError(ValueError):
 class LabeledDataset:
     scans: np.ndarray  # (n_examples, n_bins) float64, the slow-time-t scan
     labels: np.ndarray  # (n_examples,) int64
-    scheme: str  # labeling scheme id ("simple4" | "grid10")
+    scheme: str  # labeling scheme kind, a key of labeling.SCHEMES
     data_type: str  # "raw" | "baseband" | "motion_filtered"
     scenario_id: str
     history: Optional[np.ndarray] = None  # (n_examples, 2, n_bins): scans at t-2, t-1
@@ -73,6 +73,11 @@ class LabeledDataset:
             raise ValueError("labels length must match the number of scans")
         if self.data_type not in DATA_TYPES:
             raise ValueError(f"unknown data_type {self.data_type!r}")
+        n_classes = N_CLASSES.get(self.scheme)
+        if n_classes is None:
+            raise ValueError(f"unknown scheme {self.scheme!r}")
+        if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= n_classes):
+            raise ValueError(f"labels outside 0..{n_classes - 1} for scheme {self.scheme}")
         if self.history is not None:
             self.history = np.asarray(self.history, dtype=np.float64)
             if self.history.shape != (self.n_examples, 2, self.n_bins):
@@ -98,26 +103,6 @@ class LabeledDataset:
     @property
     def n_bins(self) -> int:
         return self.scans.shape[1]
-
-    @property
-    def dataset_id(self) -> str:
-        return f"{self.scenario_id}-{self.scheme}-{self.data_type}"
-
-    def validate_labels(self) -> None:
-        check_labels(self.labels, self.scheme)
-
-
-def check_labels(labels: np.ndarray, scheme: str) -> None:
-    """Check labels fit the scheme and each class occurs at least twice."""
-    n_classes = N_CLASSES.get(scheme)
-    if n_classes is None:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    if labels.size and (labels.min() < 0 or labels.max() >= n_classes):
-        raise ValueError(f"labels outside 0..{n_classes - 1} for scheme {scheme}")
-    counts = np.bincount(labels, minlength=n_classes)
-    thin = np.nonzero((counts > 0) & (counts < 2))[0]
-    if thin.size:
-        raise ValueError(f"class {thin[0]} has fewer than 2 examples; stratification needs 2")
 
 
 def _pack_str(s: str) -> bytes:

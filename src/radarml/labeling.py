@@ -5,91 +5,92 @@ radial distance into four classes; ``Grid10Scheme`` assigns one label per
 cell of a 3x3 ground grid in front of the radar. Label 0 always means
 "no person". All interval boundaries are half-open [lower, upper), which
 fixes the tie at an exact boundary deterministically.
+
+The geometry of both is the paper's and fixed: it is declared once here,
+as class constants, and no config field changes it. Each scheme declares
+its kind, its class count, the farthest range of a placed target, the
+box in which the generator places a target of each label and how box
+coordinates become (range, azimuth). ``SCHEMES`` lists them by kind in
+the order of their seed keys, which must not change.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Union
 
-SIMPLE4 = "simple4"
-GRID10 = "grid10"
+import numpy as np
 
 
-@dataclass(frozen=True)
+def _label_boxes(owned) -> np.ndarray:
+    """(n_classes, 2, 2) array of the (lo, hi) of each label's two placement
+    coordinates; row 0, no target, is NaN and ``owned`` fills the rest."""
+    bounds = np.full((len(owned) + 1, 2, 2), np.nan)
+    bounds[1:] = np.reshape(owned, (-1, 2, 2))
+    return bounds
+
+
 class Simple4Scheme:
-    """Radial risk zones with boundaries r_high < r_med < r_low (meters).
+    """Radial risk zones with boundaries R_HIGH < R_MED < R_LOW (meters).
 
-    A present target maps to 1 (high risk) below r_high, 2 below r_med,
-    3 below r_low; at or beyond r_low it is treated as absent (label 0).
+    A present target maps to 1 (high risk) below R_HIGH, 2 below R_MED,
+    3 below R_LOW; at or beyond R_LOW it is treated as absent (label 0).
+    A target is placed by range and azimuth.
     """
 
-    r_high: float = 1.0
-    r_med: float = 2.0
-    r_low: float = 3.0
+    kind = "simple4"
+    n_classes = 4
+    R_HIGH = 1.0
+    R_MED = 2.0
+    R_LOW = 3.0
+    max_range = R_LOW  # farthest range at which a target is placed (label 3)
 
-    def __post_init__(self):
-        if not (0.0 < self.r_high < self.r_med < self.r_low):
-            raise ValueError("risk boundaries must be positive and strictly increasing")
+    def placement_bounds(self, min_range: float) -> np.ndarray:
+        """Per label, the range interval of its zone (the first starting at
+        ``min_range``) and the azimuth interval of the half plane ahead."""
+        edges = (min_range, self.R_HIGH, self.R_MED, self.R_LOW)
+        return _label_boxes([((edges[k], edges[k + 1]), (-np.pi / 2, np.pi / 2)) for k in range(3)])
 
-    @property
-    def kind(self) -> str:
-        return SIMPLE4
-
-    @property
-    def n_classes(self) -> int:
-        return 4
-
-    @property
-    def max_range(self) -> float:
-        """Farthest range at which a target is placed (label 3)."""
-        return self.r_low
+    @staticmethod
+    def polar(range_m, azimuth):
+        return range_m, azimuth
 
 
-@dataclass(frozen=True)
 class Grid10Scheme:
     """3x3 grid of rectangular cells on the ground in front of the radar.
 
     The radar sits at the origin looking along +x (downrange). Rows advance
-    downrange starting ``origin_range`` meters out; the three columns tile
+    downrange starting ``ORIGIN_RANGE`` meters out; the three columns tile
     the crossrange interval centered on boresight, column 0 being the left
-    (negative azimuth) side. Cells are half-open in both axes and tile the
-    rectangle without overlap.
+    (negative azimuth) side. Labels 1-9 number the cells row-major from
+    the nearest-left one. Cells are half-open in both axes and tile the
+    rectangle without overlap. A target is placed by x and y.
     """
 
-    origin_range: float = 0.5
-    cell_depth: float = 1.0
-    cell_width: float = 1.0
-
+    kind = "grid10"
     ROWS = 3
     COLS = 3
+    n_classes = 1 + ROWS * COLS
+    ORIGIN_RANGE = 0.5
+    CELL_DEPTH = 1.0
+    CELL_WIDTH = 1.0
+    # farthest range at which a target is placed: the far corners
+    max_range = math.hypot(ORIGIN_RANGE + ROWS * CELL_DEPTH, 0.5 * COLS * CELL_WIDTH)
 
-    def __post_init__(self):
-        if self.origin_range <= 0 or self.cell_depth <= 0 or self.cell_width <= 0:
-            raise ValueError("grid origin and cell dimensions must be positive")
+    def placement_bounds(self, min_range: float) -> np.ndarray:
+        """Per label, the x and y intervals of its cell. The cells are
+        fixed, so ``min_range`` is not read."""
+        owned = []
+        for row, col in (divmod(k, self.COLS) for k in range(self.n_classes - 1)):
+            x_lo = self.ORIGIN_RANGE + row * self.CELL_DEPTH
+            y_lo = -0.5 * self.COLS * self.CELL_WIDTH + col * self.CELL_WIDTH
+            owned.append(((x_lo, x_lo + self.CELL_DEPTH), (y_lo, y_lo + self.CELL_WIDTH)))
+        return _label_boxes(owned)
 
-    @property
-    def kind(self) -> str:
-        return GRID10
-
-    @property
-    def n_classes(self) -> int:
-        return 10
-
-    @property
-    def max_range(self) -> float:
-        """Farthest range at which a target is placed: the far corners."""
-        far_x = self.origin_range + self.ROWS * self.cell_depth
-        return math.hypot(far_x, 0.5 * self.COLS * self.cell_width)
-
-    def cell_bounds(self, row: int, col: int) -> tuple[float, float, float, float]:
-        """(x_lo, x_hi, y_lo, y_hi) of a cell, half-open on the hi side."""
-        x_lo = self.origin_range + row * self.cell_depth
-        y_lo = -0.5 * self.COLS * self.cell_width + col * self.cell_width
-        return x_lo, x_lo + self.cell_depth, y_lo, y_lo + self.cell_width
+    @staticmethod
+    def polar(x, y):
+        return np.hypot(x, y), np.arctan2(y, x)
 
 
-LabelScheme = Union[Simple4Scheme, Grid10Scheme]
+SCHEMES = {scheme.kind: scheme for scheme in (Simple4Scheme(), Grid10Scheme())}
 
-N_CLASSES = {SIMPLE4: 4, GRID10: 10}
+N_CLASSES = {kind: scheme.n_classes for kind, scheme in SCHEMES.items()}

@@ -19,7 +19,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .dataset import LabeledDataset
-from .labeling import Grid10Scheme, LabelScheme, Simple4Scheme
 from .seeding import make_rng, make_rngs
 from .sigproc import sample_limit
 
@@ -141,26 +140,11 @@ def _static_background(scenario: Scenario) -> np.ndarray:
     return background
 
 
-def _placement_bounds(scheme: LabelScheme, min_range: float) -> np.ndarray:
-    """(n_classes, 2, 2) array: per label, the (lo, hi) of its two placement
-    uniforms. Simple4 draws range and azimuth in the label's risk zone,
-    grid10 x and y in the label's cell. Row 0, no target, is NaN."""
-    if isinstance(scheme, Simple4Scheme):
-        edges = (min_range, scheme.r_high, scheme.r_med, scheme.r_low)
-        owned = [((edges[k], edges[k + 1]), (-np.pi / 2, np.pi / 2)) for k in range(3)]
-    elif isinstance(scheme, Grid10Scheme):
-        owned = [scheme.cell_bounds(*divmod(k, scheme.COLS)) for k in range(scheme.n_classes - 1)]
-    else:
-        raise TypeError(f"unknown labeling scheme: {scheme!r}")
-    bounds = np.full((scheme.n_classes, 2, 2), np.nan)
-    bounds[1:] = np.reshape(owned, (-1, 2, 2))
-    return bounds
-
-
-def _place(scheme: LabelScheme, bounds: np.ndarray, u: np.ndarray):
+def _place(scheme, bounds: np.ndarray, u: np.ndarray):
     """(range_m, azimuth) of targets placed uniformly within ``bounds``,
-    one (2, 2) row of ``_placement_bounds`` per target, from two uniforms
-    in [0, 1) per target (``u``, the same shape without the last axis).
+    one (2, 2) row of ``scheme.placement_bounds`` per target, from two
+    uniforms in [0, 1) per target (``u``, the same shape without the last
+    axis).
 
     Each coordinate is ``lo + (hi - lo) * u``, the arithmetic of numpy's
     ``uniform(lo, hi)``, so a target is the one that two ``uniform`` calls
@@ -169,13 +153,10 @@ def _place(scheme: LabelScheme, bounds: np.ndarray, u: np.ndarray):
     lo, hi = bounds[..., 0], bounds[..., 1]
     if not np.all(lo < hi):
         raise ValueError("min_range must lie below the high-risk boundary")
-    a, b = np.moveaxis(lo + (hi - lo) * u, -1, 0)
-    if isinstance(scheme, Simple4Scheme):
-        return a, b
-    return np.hypot(a, b), np.arctan2(b, a)
+    return scheme.polar(*np.moveaxis(lo + (hi - lo) * u, -1, 0))
 
 
-def balanced_labels(scheme: LabelScheme, n_per_class: int) -> np.ndarray:
+def balanced_labels(scheme, n_per_class: int) -> np.ndarray:
     """Labels of a balanced set: ``n_per_class`` examples of each class,
     in class order."""
     return np.repeat(np.arange(scheme.n_classes, dtype=np.int64), n_per_class)
@@ -183,7 +164,7 @@ def balanced_labels(scheme: LabelScheme, n_per_class: int) -> np.ndarray:
 
 def generate_dataset(
     scenario: Scenario,
-    scheme: LabelScheme,
+    scheme,
     n_per_class: int,
     seed: int,
     *,
@@ -192,7 +173,8 @@ def generate_dataset(
     min_range: float = DEFAULT_MIN_RANGE,
     rows: slice | None = None,
 ) -> LabeledDataset:
-    """Balanced raw dataset with a slow-time triple per example.
+    """Balanced raw dataset with a slow-time triple per example, labeled
+    by ``scheme``, one of ``labeling.SCHEMES``.
 
     For every example three consecutive scans (t-2, t-1, t) are
     synthesized from the same target placement; the trailing scan is the
@@ -207,9 +189,7 @@ def generate_dataset(
 
     ``rows``, a slice of example indices, synthesizes only those examples,
     each the same to the last bit as in the whole set, so a caller can
-    walk a large set in blocks. The whole set's labels are validated; a
-    block's are not (it may hold a single example of a class), so a caller
-    that walks blocks validates ``balanced_labels`` once.
+    walk a large set in blocks.
 
     A scan is the static background plus, when a target is present, its
     echo centered at the two-way delay of the (jittered) range with
@@ -268,7 +248,7 @@ def generate_dataset(
         elif noisy:
             rng.standard_normal(out=samples[i])
     has_target = labels != 0
-    bounds = _placement_bounds(scheme, min_range)[labels[has_target]]
+    bounds = scheme.placement_bounds(min_range)[labels[has_target]]
     range_m, _ = _place(scheme, bounds, u[has_target])
     if not np.all(range_m > 0):
         raise ValueError("target range must be positive")
@@ -319,7 +299,7 @@ def generate_dataset(
     # computed from these samples and finite by construction
     if not (np.min(samples, initial=0.0) >= -limit and np.max(samples, initial=0.0) <= limit):
         raise ValueError(f"scan samples must all be finite and within ±{limit:.3g}")
-    ds = LabeledDataset._of_finite_samples(
+    return LabeledDataset._of_finite_samples(
         scans=samples[:, 2],
         labels=labels,
         scheme=scheme.kind,
@@ -327,6 +307,3 @@ def generate_dataset(
         scenario_id=scenario.scenario_id,
         history=samples[:, :2],
     )
-    if rows is None:
-        ds.validate_labels()
-    return ds

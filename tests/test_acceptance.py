@@ -15,10 +15,11 @@ import pytest
 import yaml
 
 from radarml.cli import _GEN_KEY, main
-from radarml.config import SCHEMES, build_plan, parse_config
+from radarml.config import build_plan, parse_config
 from radarml.estimators.grids import KINDS, grid_size
 from radarml.estimators.neighbors import KNearestNeighbors
 from radarml.estimators.tree import DecisionTree, impurity
+from radarml.labeling import SCHEMES
 from radarml.modelsel import (
     CandidateScore,
     run_experiment,
@@ -138,9 +139,9 @@ def _derived(config, scenario_id, scheme):
     si = ids.index(scenario_id)
     raw = generate_dataset(
         config.scenarios[si],
-        config.scheme_object(scheme),
+        SCHEMES[scheme],
         config.n_per_class,
-        derive_seed(config.seed, _GEN_KEY, si, SCHEMES.index(scheme)),
+        derive_seed(config.seed, _GEN_KEY, si, list(SCHEMES).index(scheme)),
         reflectivity=config.target.reflectivity,
         jitter_sigma=config.target.jitter_sigma,
         min_range=config.target.min_range,

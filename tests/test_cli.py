@@ -1,10 +1,12 @@
 import hashlib
+import io
 import json
 import multiprocessing
 import os
 import re
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 import yaml
 
@@ -19,7 +21,8 @@ from radarml.cli import (
     main,
 )
 from radarml.config import DEFAULT_CONFIG, ConfigError, build_plan, parse_config
-from radarml.dataset import save_dataset
+from radarml.dataset import dataset_from_bytes, save_dataset, write_dataset
+from radarml.labeling import SCHEMES
 from radarml.modelsel import stratified_split
 from radarml.seeding import derive_seed
 from radarml.sigproc import derive_dataset, standardize_dataset
@@ -377,6 +380,31 @@ class TestGenerate:
         assert message in capsys.readouterr().err
 
 
+def rewritten(buf, rows=None, **fields):
+    """The bytes of the dataset file ``buf`` with ``fields`` replaced and
+    only ``rows`` kept."""
+    ds = dataset_from_bytes(buf)
+    for name, value in fields.items():
+        setattr(ds, name, value)
+    out = io.BytesIO()
+    write_dataset(ds, out, rows)
+    return out.getvalue()
+
+
+def foreign_header(buf):
+    """Another plan entry's header, with a label that only it allows."""
+    labels = dataset_from_bytes(buf).labels.copy()
+    labels[0] = 9
+    return rewritten(buf, scheme="grid10", data_type="baseband", scenario_id="indoor", labels=labels)
+
+
+def thin_class(buf):
+    """Two rows of class 1 left: too few for TINY's five folds."""
+    labels = dataset_from_bytes(buf).labels
+    ones = np.flatnonzero(labels == 1)
+    return rewritten(buf, rows=np.setdiff1d(np.arange(labels.size), ones[2:]))
+
+
 class TestStreamedGroups:
     """A group is generated in blocks of ``cli._GROUP_BLOCK`` examples;
     its files equal those of whole-array calls at any block size."""
@@ -392,7 +420,7 @@ class TestStreamedGroups:
             si, schi, dti = cli._entry_keys(config, entry)
             raw = generate_dataset(
                 entry.scenario,
-                config.scheme_object(entry.scheme),
+                SCHEMES[entry.scheme],
                 config.n_per_class,
                 derive_seed(config.seed, cli._GEN_KEY, si, schi),
                 reflectivity=config.target.reflectivity,
@@ -528,8 +556,11 @@ class TestRun:
             lambda buf: buf[: len(buf) // 2],  # truncated
             lambda buf: b"JUNK" + buf[4:],  # bad magic
             lambda buf: buf + b"\x00",  # trailing bytes
+            lambda buf: buf[:-8] + (4).to_bytes(8, "little"),  # a label outside simple4
+            foreign_header,
+            thin_class,
         ],
-        ids=["truncated", "bad_magic", "trailing"],
+        ids=["truncated", "bad_magic", "trailing", "label_outside_scheme", "foreign_header", "thin_class"],
     )
     def test_corrupt_dataset_exit_code(self, cfg_path, tmp_path, capsys, damage):
         out = str(tmp_path / "out")

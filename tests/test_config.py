@@ -11,6 +11,7 @@ from radarml.config import (
     parse_config,
     read_config,
 )
+from radarml.labeling import SCHEMES
 
 
 class TestDefaults:
@@ -40,8 +41,7 @@ class TestDefaults:
 
     def test_scheme_objects(self):
         cfg = parse_config({})
-        assert cfg.scheme_object("simple4").n_classes == 4
-        assert cfg.scheme_object("grid10").n_classes == 10
+        assert [SCHEMES[kind].n_classes for kind in cfg.schemes] == [4, 10]
 
 
 class TestValidation:

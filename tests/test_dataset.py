@@ -58,7 +58,6 @@ class TestContainer:
         assert ds.labels.dtype == np.int64
         assert ds.n_examples == 6
         assert ds.n_bins == 16
-        assert ds.dataset_id == "unit-simple4-baseband"
 
     def test_shape_mismatches_rejected(self):
         with pytest.raises(ValueError):
@@ -114,25 +113,37 @@ class TestContainer:
 
 
 class TestValidateLabels:
+    """A dataset's labels must lie in its scheme; a file that breaks that
+    rule is not a dataset."""
+
     def test_valid_dataset_passes(self):
-        small_dataset(n=8).validate_labels()
+        for ds in (small_dataset(n=8), small_dataset(n=10, scheme="grid10")):
+            back = dataset_from_bytes(dataset_to_bytes(ds))
+            assert back.labels.tolist() == ds.labels.tolist()
 
     def test_unknown_scheme_rejected(self):
-        ds = small_dataset()
-        ds.scheme = "zones"
-        with pytest.raises(ValueError):
-            ds.validate_labels()
+        with pytest.raises(ValueError, match="unknown scheme 'zones'"):
+            LabeledDataset(np.zeros((2, 4)), np.zeros(2, dtype=int), "zones", "raw", "x")
+        buf = dataset_to_bytes(small_dataset()).replace(b"simple4", b"simple5")
+        with pytest.raises(DatasetFormatError, match="unknown scheme 'simple5'"):
+            dataset_from_bytes(buf)
 
     def test_label_out_of_range_rejected(self):
-        ds = small_dataset()
-        ds.labels[0] = 4
-        with pytest.raises(ValueError):
-            ds.validate_labels()
-
-    def test_singleton_class_rejected(self):
-        ds = small_dataset(n=5)  # class 0 has 2 examples, class 1..3 have 1
-        with pytest.raises(ValueError):
-            ds.validate_labels()
+        for label in (-1, 4):
+            with pytest.raises(ValueError, match=r"labels outside 0\.\.3 for scheme simple4"):
+                LabeledDataset(np.zeros((2, 4)), [0, label], "simple4", "raw", "x")
+            with pytest.raises(ValueError, match="labels outside"):
+                LabeledDataset._of_finite_samples(
+                    scans=np.zeros((2, 4)), labels=[label, 0], scheme="simple4", data_type="raw", scenario_id="x"
+                )
+            buf = dataset_to_bytes(small_dataset())[:-8] + struct.pack("<q", label)
+            with pytest.raises(DatasetFormatError, match="labels outside"):
+                dataset_from_bytes(buf)
+        # label 4 is a grid10 cell, and -1 is outside every scheme
+        grid = dataset_to_bytes(small_dataset(scheme="grid10"))[:-8]
+        assert dataset_from_bytes(grid + struct.pack("<q", 4)).labels[-1] == 4
+        with pytest.raises(DatasetFormatError, match=r"labels outside 0\.\.9"):
+            dataset_from_bytes(grid + struct.pack("<q", -1))
 
 
 class TestSerialization:

@@ -11,6 +11,7 @@ from radarml.estimators.linear import (
     _augment,
     _nll_loss_grad,
 )
+from radarml.labeling import SCHEMES
 from radarml.modelsel import stratified_kfold
 from radarml.sigproc import derive_dataset, standardize_dataset
 from radarml.synth import generate_dataset
@@ -112,7 +113,7 @@ class TestSagBiasScale:
         # with a bias column of 1, sag takes about 75 epochs here at C=0.01
         config = parse_config({"seed": 0, "n_per_class": 200})
         (scenario,) = [s for s in config.scenarios if s.scenario_id == "outdoor"]
-        raw = generate_dataset(scenario, config.scheme_object("grid10"), 20, seed=7)
+        raw = generate_dataset(scenario, SCHEMES["grid10"], 20, seed=7)
         ds = standardize_dataset(derive_dataset(raw, "motion_filtered"))
         (train, _), *_ = stratified_kfold(ds.labels, 5, seed=0)
         X, y = ds.scans[train], ds.labels[train]

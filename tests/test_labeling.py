@@ -12,9 +12,10 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
 import pytest
 
-from radarml.labeling import Grid10Scheme, LabelScheme, Simple4Scheme
+from radarml.labeling import N_CLASSES, SCHEMES, Grid10Scheme, Simple4Scheme
 
 
 @dataclass(frozen=True)
@@ -30,11 +31,11 @@ def simple_label(target: Optional[TargetState], scheme: Simple4Scheme) -> int:
     if target is None:
         return 0
     r = target.range_m
-    if r < scheme.r_high:
+    if r < scheme.R_HIGH:
         return 1
-    if r < scheme.r_med:
+    if r < scheme.R_MED:
         return 2
-    if r < scheme.r_low:
+    if r < scheme.R_LOW:
         return 3
     return 0
 
@@ -49,24 +50,20 @@ def grid_label(target: Optional[TargetState], scheme: Grid10Scheme) -> int:
         return 0
     x = target.range_m * math.cos(target.azimuth)
     y = target.range_m * math.sin(target.azimuth)
-    x_lo = scheme.origin_range
-    y_lo = -0.5 * scheme.COLS * scheme.cell_width
-    if not (x_lo <= x < x_lo + scheme.ROWS * scheme.cell_depth):
+    x_lo = scheme.ORIGIN_RANGE
+    y_lo = -0.5 * scheme.COLS * scheme.CELL_WIDTH
+    if not (x_lo <= x < x_lo + scheme.ROWS * scheme.CELL_DEPTH):
         return 0
-    if not (y_lo <= y < y_lo + scheme.COLS * scheme.cell_width):
+    if not (y_lo <= y < y_lo + scheme.COLS * scheme.CELL_WIDTH):
         return 0
-    row = min(int((x - x_lo) / scheme.cell_depth), scheme.ROWS - 1)
-    col = min(int((y - y_lo) / scheme.cell_width), scheme.COLS - 1)
+    row = min(int((x - x_lo) / scheme.CELL_DEPTH), scheme.ROWS - 1)
+    col = min(int((y - y_lo) / scheme.CELL_WIDTH), scheme.COLS - 1)
     return 1 + row * scheme.COLS + col
 
 
-def label_of(target: Optional[TargetState], scheme: LabelScheme) -> int:
+def label_of(target: Optional[TargetState], scheme) -> int:
     """Label under either scheme."""
-    if isinstance(scheme, Simple4Scheme):
-        return simple_label(target, scheme)
-    if isinstance(scheme, Grid10Scheme):
-        return grid_label(target, scheme)
-    raise TypeError(f"unknown labeling scheme: {scheme!r}")
+    return {"simple4": simple_label, "grid10": grid_label}[scheme.kind](target, scheme)
 
 
 def at(range_m, azimuth=0.0):
@@ -99,11 +96,12 @@ class TestSimple4:
         for az in (-1.2, 0.0, 1.2):
             assert simple_label(at(1.5, az), self.scheme) == 2
 
-    def test_bad_boundaries_rejected(self):
-        with pytest.raises(ValueError):
-            Simple4Scheme(r_high=2.0, r_med=1.0, r_low=3.0)
-        with pytest.raises(ValueError):
-            Simple4Scheme(r_high=0.0)
+    def test_zones_tile_from_min_range(self):
+        bounds = self.scheme.placement_bounds(0.3)
+        assert np.isnan(bounds[0]).all()
+        assert bounds[1:, 0].tolist() == [[0.3, 1.0], [1.0, 2.0], [2.0, 3.0]]
+        assert (bounds[1:, 1] == [-math.pi / 2, math.pi / 2]).all()
+        assert self.scheme.max_range == 3.0
 
 
 class TestGrid10:
@@ -136,24 +134,29 @@ class TestGrid10:
         assert grid_label(at(2.0, 1.4), self.scheme) == 0  # wide of the grid
 
     def test_cell_bounds_tile_without_overlap(self):
-        s = self.scheme
+        bounds = self.scheme.placement_bounds(0.3)
+        assert np.isnan(bounds[0]).all()
+        cells = bounds[1:].reshape(3, 3, 2, 2)  # row, col, (x, y), (lo, hi)
         for row in range(3):
             for col in range(3):
-                x_lo, x_hi, y_lo, y_hi = s.cell_bounds(row, col)
-                assert x_hi - x_lo == pytest.approx(s.cell_depth)
-                assert y_hi - y_lo == pytest.approx(s.cell_width)
+                (x_lo, x_hi), (y_lo, y_hi) = cells[row, col]
+                assert x_hi - x_lo == pytest.approx(1.0)
+                assert y_hi - y_lo == pytest.approx(1.0)
                 if col < 2:
-                    assert y_hi == pytest.approx(s.cell_bounds(row, col + 1)[2])
+                    assert y_hi == pytest.approx(cells[row, col + 1, 1, 0])
                 if row < 2:
-                    assert x_hi == pytest.approx(s.cell_bounds(row + 1, col)[0])
-
-    def test_bad_dimensions_rejected(self):
-        with pytest.raises(ValueError):
-            Grid10Scheme(cell_depth=0.0)
+                    assert x_hi == pytest.approx(cells[row + 1, col, 0, 0])
+        assert (cells[0, :, 0, 0] == 0.5).all() and (cells[:, 0, 1, 0] == -1.5).all()
+        assert self.scheme.max_range == pytest.approx(math.hypot(3.5, 1.5))
 
 
 def test_label_of_dispatch():
     assert label_of(at(0.5), Simple4Scheme()) == 1
     assert label_of(at(1.0, 0.0), Grid10Scheme()) == 2
-    with pytest.raises(TypeError):
-        label_of(None, "simple4")
+
+
+def test_registry_in_seed_key_order():
+    # cli._entry_keys seeds each scheme by its position here
+    assert list(SCHEMES) == ["simple4", "grid10"]
+    assert [s.kind for s in SCHEMES.values()] == list(SCHEMES)
+    assert N_CLASSES == {"simple4": 4, "grid10": 10}

@@ -83,20 +83,21 @@ def reference_place(label, scheme, rng, *, reflectivity=4.0, jitter_sigma=0.06, 
     """A target in the zone or cell of ``label`` from two ``uniform`` calls,
     as the generator placed targets before it drew its uniforms as one
     block; kept apart from ``place_target_for_label`` on purpose."""
-    if isinstance(scheme, Simple4Scheme):
+    if scheme.kind == "simple4":
         zones = {
-            1: (min_range, scheme.r_high),
-            2: (scheme.r_high, scheme.r_med),
-            3: (scheme.r_med, scheme.r_low),
+            1: (min_range, scheme.R_HIGH),
+            2: (scheme.R_HIGH, scheme.R_MED),
+            3: (scheme.R_MED, scheme.R_LOW),
         }
         lo, hi = zones[label]
         range_m = rng.uniform(lo, hi)
         azimuth = rng.uniform(-np.pi / 2, np.pi / 2)
     else:
         row, col = divmod(label - 1, scheme.COLS)
-        x_lo, x_hi, y_lo, y_hi = scheme.cell_bounds(row, col)
-        x = rng.uniform(x_lo, x_hi)
-        y = rng.uniform(y_lo, y_hi)
+        x_lo = scheme.ORIGIN_RANGE + row * scheme.CELL_DEPTH
+        y_lo = -0.5 * scheme.COLS * scheme.CELL_WIDTH + col * scheme.CELL_WIDTH
+        x = rng.uniform(x_lo, x_lo + scheme.CELL_DEPTH)
+        y = rng.uniform(y_lo, y_lo + scheme.CELL_WIDTH)
         range_m = float(np.hypot(x, y))
         azimuth = float(np.arctan2(y, x))
     return TargetState(
@@ -109,8 +110,8 @@ def reference_place(label, scheme, rng, *, reflectivity=4.0, jitter_sigma=0.06, 
 
 def place_target_for_label(label, scheme, rng, *, reflectivity=4.0, jitter_sigma=0.06, min_range=0.3):
     """The target that the generator places for ``label`` from
-    ``rng.random(2)``, through its own ``_placement_bounds`` and ``_place``."""
-    bounds = synth._placement_bounds(scheme, min_range)[label]
+    ``rng.random(2)``, through ``placement_bounds`` and its own ``_place``."""
+    bounds = scheme.placement_bounds(min_range)[label]
     range_m, azimuth = synth._place(scheme, bounds, rng.random(2))
     return TargetState(float(range_m), float(azimuth), reflectivity, jitter_sigma)
 

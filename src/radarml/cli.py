@@ -12,12 +12,12 @@ input, 4 estimator failure. Code 3 covers a dataset file or report that
 is absent; for ``run``, a ``.rds`` file that is truncated, does not
 follow the documented layout, holds a label outside its scheme, or whose
 header names another scheme, data type, scenario or bin count than its
-plan entry, and a train file with fewer examples of some class than
-there are folds; and for ``report``, a report JSON that does not parse
-or lacks a field the ranking reads. Each prints one line to stderr
-naming the file. All outputs are written atomically and reruns
-with the same seed reproduce dataset files and the aggregate table byte
-for byte.
+plan entry, a train file with fewer examples of some class than there
+are folds, and a test file with no examples; and for ``report``, a
+report JSON that does not parse or lacks a field the ranking reads. Each
+prints one line to stderr naming the file. All outputs are written
+atomically and reruns with the same seed reproduce dataset files and the
+aggregate table byte for byte.
 """
 
 from __future__ import annotations
@@ -263,6 +263,8 @@ def _run_entry(config: ExperimentConfig, entry, estimators, out_dir, jobs):
     train_path, test_path = _dataset_paths(out_dir, entry.dataset_id)
     train = _load_entry_file(train_path, entry)
     test = _load_entry_file(test_path, entry)
+    if test.labels.size == 0:  # every refit would fail on it, far from the cause
+        raise CorruptInputError(f"{test_path}: holds no examples")
     try:  # the folds that evaluate_kinds deals, for their checks only
         stratified_kfold(train.labels, config.n_folds)
     except ValueError as exc:

@@ -14,7 +14,7 @@ import numpy as np
 
 from ..seeding import seed_sequence
 from .base import Classifier, encode_training_data
-from .tree import CRITERIA, grow_classification, grow_regression, presort, tree_apply
+from .tree import CRITERIA, grow_classification, grow_extra_trees, grow_regression, presort, tree_apply
 
 
 def _majority_vote(trees, X, n_classes):
@@ -36,35 +36,12 @@ class _BaseForest(Classifier):
         self.max_features = max_features
         self.seed = int(seed)
 
-    _bootstrap = True
-    _splitter = "best"
-
     def fit(self, X, y):
         X, codes, self.classes_ = encode_training_data(X, y)
         self.n_features_ = X.shape[1]
-        n = X.shape[0]
-        K = len(self.classes_)
         children = seed_sequence(self.seed, 0).spawn(self.n_estimators)
-        self.trees_ = []
-        for child in children:
-            rng = np.random.Generator(np.random.PCG64(child))
-            if self._bootstrap:
-                picks = rng.integers(0, n, size=n)
-                Xm, ym = X[picks], codes[picks]
-            else:
-                Xm, ym = X, codes
-            self.trees_.append(
-                grow_classification(
-                    Xm,
-                    ym,
-                    K,
-                    criterion=self.criterion,
-                    max_features=self.max_features,
-                    splitter=self._splitter,
-                    max_depth=None,
-                    rng=rng,
-                )
-            )
+        rngs = [np.random.Generator(np.random.PCG64(child)) for child in children]
+        self.trees_ = self._grow(X, codes, len(self.classes_), rngs)
         return self
 
     def _predict_codes(self, X):
@@ -75,16 +52,25 @@ class RandomForest(_BaseForest):
     """Bootstrap-sampled trees with exhaustive per-node split search."""
 
     kind = "random_forest"
-    _bootstrap = True
-    _splitter = "best"
+
+    def _grow(self, X, codes, n_classes, rngs):
+        trees = []
+        for rng in rngs:
+            picks = rng.integers(0, codes.size, size=codes.size)
+            trees.append(
+                grow_classification(X[picks], codes[picks], n_classes, self.criterion, self.max_features, rng=rng)
+            )
+        return trees
 
 
 class ExtraTrees(_BaseForest):
-    """Full-sample trees with one random threshold per candidate feature."""
+    """Full-sample trees with one random threshold per candidate feature,
+    all grown in lockstep."""
 
     kind = "extra_trees"
-    _bootstrap = False
-    _splitter = "random"
+
+    def _grow(self, X, codes, n_classes, rngs):
+        return grow_extra_trees(X, codes, n_classes, rngs, self.criterion, self.max_features)
 
 
 class GradientBoosting(Classifier):

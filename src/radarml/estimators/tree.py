@@ -6,10 +6,12 @@ regression trees inside gradient boosting. Ties in the split search are
 broken deterministically: lowest feature index first, then lowest
 threshold.
 
-Regression trees never sort a node: a node's stable per-feature order
-is the fit's presorted order restricted to its rows, so it is looked up
-by row set (``Presorted.order_of``) and shared by every tree of the fit
-that reaches the same rows.
+Random-threshold trees grow in lockstep (``grow_extra_trees``): each
+step takes one node from every tree still growing and searches them in
+batched calls, nodes of similar size together. Regression trees never sort a node: a node's stable
+per-feature order is the fit's presorted order restricted to its rows,
+so it is looked up by row set (``Presorted.orders_of``) and shared by
+every tree of the fit that reaches the same rows.
 """
 
 from __future__ import annotations
@@ -27,12 +29,19 @@ CRITERIA = ("gini", "entropy")
 # pure float noise on constant targets.
 _REG_GAIN_ATOL = 1e-12
 
-# Bytes of node orders one fit keeps (``Presorted.order_of``). The default
+# Bytes of node orders one fit keeps (``Presorted.orders_of``). The default
 # plan's matrices have at most 200 rows, so an order is uint8, m x 480
 # bytes for m rows. A 256-stage fit on a 160-row grid10 fold keeps about
 # 600 orders (22-24 MB); the 200-row grid10 refit at 256 stages fills the
 # budget, and a 64-row simple4 fold keeps under 1 MB.
 _ORDER_BUDGET = 32 << 20
+
+# Candidate values in one padded block of ``best_split_random`` (512 KiB
+# as float64). A lockstep step's nodes are searched in blocks of similar
+# size: small blocks stay in cache and pad little, and a step's memory is
+# bounded at any tree count. Ten 256-tree fits on 160 x 480 grid10 folds
+# took 5.2 s; 2**14 or 2**17 took 5.3 s and one block per step 6.1 s.
+_RANDOM_BLOCK = 1 << 16
 
 
 def impurity(counts, criterion: str) -> float:
@@ -183,42 +192,49 @@ def best_split_exhaustive(X, codes, n_classes, feats, criterion):
     return int(feats[fi]), _midpoint(sv[pos, fi], sv[pos + 1, fi]), gain
 
 
-def best_split_random(X, codes, n_classes, feats, criterion, rng):
-    """One uniform threshold per candidate feature, best by criterion.
+def best_split_random(X, codes, n_classes, nodes, feats, uniforms, criterion):
+    """One uniform threshold per candidate feature of each node of a batch,
+    best by criterion, in one call for the whole batch.
 
-    Features that are constant within the node are skipped; returns None
-    when every candidate is constant. The split with the lowest weighted
-    child impurity wins, ties going to the lowest feature index.
+    ``nodes`` lists each node's ascending row ids; ``feats`` (B, F) holds
+    its candidate features and ``uniforms`` (B, F) one draw in [0, 1) per
+    candidate. A candidate's threshold is ``lo + (hi - lo) * u`` over the
+    node's values, which is ``rng.uniform(lo, hi)`` to the bit. Features
+    constant within the node, and thresholds that leave a child empty,
+    are skipped; the split with the lowest weighted child impurity wins,
+    ties going to the lowest feature index. Returns (feature, threshold,
+    go_left): ``feature[b]`` is -1 when node b has no usable split, and
+    the first m entries of ``go_left[b]`` mark which of its m rows go left.
     """
-    m = codes.size
-    if m < 2:
-        return None
-    sub = X[:, feats]
-    lo = sub.min(axis=0)
-    hi = sub.max(axis=0)
-    thresholds = rng.uniform(lo, hi)
-    usable = lo < hi
-    if not usable.any():
-        return None
-    mask = sub <= thresholds[None, :]
-    onehot = np.zeros((m, n_classes))
-    onehot[np.arange(m), codes] = 1.0
-    left = mask.T.astype(np.float64) @ onehot  # (f, K)
-    totals = onehot.sum(axis=0)
-    right = totals[None, :] - left
-    nl = mask.sum(axis=0).astype(np.float64)
-    nr = m - nl
-    usable = usable & (nl > 0) & (nr > 0)
-    if not usable.any():
-        return None
+    sizes = np.array([rows.size for rows in nodes])
+    # Pad every node to the largest one's rows. A padding row copies the
+    # node's first row, so it moves neither the minimum nor the maximum,
+    # and holds no class, so it counts in no child.
+    pos = np.arange(sizes.max())
+    real = pos < sizes[:, None]
+    starts = np.cumsum(sizes) - sizes
+    rows = np.concatenate(nodes)[starts[:, None] + np.where(real, pos, 0)]  # (B, M)
+    sub = X[rows[:, None, :], feats[:, :, None]]  # (B, F, M)
+    lo = sub.min(axis=2)
+    hi = sub.max(axis=2)
+    thresholds = lo + (hi - lo) * uniforms
+    mask = sub <= thresholds[:, :, None]
+    onehot = ((codes[rows][:, :, None] == np.arange(n_classes)) & real[:, :, None]).astype(np.float64)
+    # (B, F, K) counts, the class axis last and contiguous as in a lone
+    # node's (F, K), so the entropy sums over classes round the same
+    left = mask.astype(np.float64) @ onehot
+    right = onehot.sum(axis=1)[:, None, :] - left
+    nl = left.sum(axis=2)
+    nr = sizes[:, None] - nl
+    usable = (lo < hi) & (nl > 0) & (nr > 0)
     # unit denominators keep the masked-out columns from dividing by zero
     nl_safe = np.where(usable, nl, 1.0)
     nr_safe = np.where(usable, nr, 1.0)
-    score = np.where(
-        usable, _weighted_child_impurity(left, right, nl_safe, nr_safe, criterion), np.inf
-    )
-    j = int(np.argmin(score))
-    return int(feats[j]), float(thresholds[j]), float(impurity(totals, criterion) - score[j])
+    score = np.where(usable, _weighted_child_impurity(left, right, nl_safe, nr_safe, criterion), np.inf)
+    best = score.argmin(axis=1)
+    batch = np.arange(len(nodes))
+    feature = np.where(usable.any(axis=1), feats[batch, best], -1)
+    return feature, thresholds[batch, best], mask[batch, best]
 
 
 def _candidate_features(n_features, mtry, rng):
@@ -227,57 +243,106 @@ def _candidate_features(n_features, mtry, rng):
     return np.sort(rng.choice(n_features, size=mtry, replace=False))
 
 
-def grow_classification(
-    X,
-    codes,
-    n_classes,
-    criterion="gini",
-    max_features=None,
-    splitter="best",
-    max_depth=None,
-    rng=None,
-) -> TreeNodes:
-    """Grow a classification tree until nodes are pure, have fewer than 2
-    samples, hit ``max_depth``, or admit no usable split."""
-    if splitter not in ("best", "random"):
-        raise ValueError(f"unknown splitter {splitter!r}")
-    if splitter == "random" and rng is None:
-        raise ValueError("random splitter needs an rng")
+def _next_to_split(stack, builder, codes, n_classes, max_depth):
+    """Pop ``stack`` down to the next node worth a split search, giving
+    every node popped its majority class; None once the stack is empty.
+
+    A node stays a leaf when it is pure, has fewer than 2 samples or
+    sits at ``max_depth``.
+    """
+    while stack:
+        idx, depth, node = stack.pop()
+        counts = np.bincount(codes[idx], minlength=n_classes)
+        builder.value[node] = float(np.argmax(counts))
+        if idx.size >= 2 and np.count_nonzero(counts) > 1 and (max_depth is None or depth < max_depth):
+            return idx, depth, node
+    return None
+
+
+def _split(builder, node, feat, thr):
+    """Make ``node`` split on (feat, thr); returns its new (left, right)
+    children, which a depth-first stack takes left first."""
+    left = builder.add()
+    right = builder.add()
+    builder.feature[node] = feat
+    builder.threshold[node] = thr
+    builder.left[node] = left
+    builder.right[node] = right
+    return left, right
+
+
+def grow_classification(X, codes, n_classes, criterion="gini", max_features=None, max_depth=None, rng=None):
+    """Grow a classification tree with the exhaustive split search until
+    nodes are pure, have fewer than 2 samples, hit ``max_depth``, or admit
+    no split that lowers the impurity."""
     n_features = X.shape[1]
     mtry = resolve_max_features(max_features, n_features)
     if mtry < n_features and rng is None:
         raise ValueError("feature subsampling needs an rng")
     builder = _TreeBuilder()
-    root = builder.add()
-    stack = [(np.arange(codes.size), 0, root)]
-    while stack:
-        idx, depth, node = stack.pop()
-        y_node = codes[idx]
-        counts = np.bincount(y_node, minlength=n_classes)
-        builder.value[node] = float(np.argmax(counts))
-        if idx.size < 2 or np.count_nonzero(counts) == 1:
-            continue
-        if max_depth is not None and depth >= max_depth:
-            continue
+    stack = [(np.arange(codes.size), 0, builder.add())]
+    while (popped := _next_to_split(stack, builder, codes, n_classes, max_depth)) is not None:
+        idx, depth, node = popped
         feats = _candidate_features(n_features, mtry, rng)
         X_node = X[idx]
-        if splitter == "best":
-            found = best_split_exhaustive(X_node, y_node, n_classes, feats, criterion)
-        else:
-            found = best_split_random(X_node, y_node, n_classes, feats, criterion, rng)
-        if found is None:
-            continue
-        feat, thr, _ = found
-        go_left = X_node[:, feat] <= thr
-        left_node = builder.add()
-        right_node = builder.add()
-        builder.feature[node] = feat
-        builder.threshold[node] = thr
-        builder.left[node] = left_node
-        builder.right[node] = right_node
-        stack.append((idx[~go_left], depth + 1, right_node))
-        stack.append((idx[go_left], depth + 1, left_node))
+        found = best_split_exhaustive(X_node, codes[idx], n_classes, feats, criterion)
+        if found is not None:
+            feat, thr, _ = found
+            go_left = X_node[:, feat] <= thr
+            left, right = _split(builder, node, feat, thr)
+            stack += [(idx[~go_left], depth + 1, right), (idx[go_left], depth + 1, left)]
     return builder.freeze()
+
+
+def grow_extra_trees(X, codes, n_classes, rngs, criterion="gini", max_features=None, max_depth=None):
+    """One extremely randomized tree per generator of ``rngs``, all grown
+    in lockstep; each is the tree a lone depth-first growth would give.
+
+    Every step, each tree still growing pops the next node worth a search
+    from its own stack and draws, from its own generator, that node's
+    candidate features and then one uniform per candidate: the draws and
+    the order of a lone growth. The step's nodes are then searched by
+    ``best_split_random``, smallest first, as many per call as keep the
+    padded block within ``_RANDOM_BLOCK`` values (at least one). Nodes
+    grow until they are pure, have fewer than 2 samples, hit
+    ``max_depth``, or every candidate feature is constant within them.
+    """
+    n_features = X.shape[1]
+    mtry = resolve_max_features(max_features, n_features)
+    builders = [_TreeBuilder() for _ in rngs]
+    stacks = [[(np.arange(codes.size), 0, builder.add())] for builder in builders]
+    growing = range(len(rngs))
+    while True:
+        step, feats, uniforms = [], [], []
+        for t in growing:
+            popped = _next_to_split(stacks[t], builders[t], codes, n_classes, max_depth)
+            if popped is not None:
+                step.append((t, *popped))
+                feats.append(_candidate_features(n_features, mtry, rngs[t]))
+                uniforms.append(rngs[t].random(mtry))
+        if not step:
+            break
+        feats, uniforms = np.array(feats), np.array(uniforms)
+        sizes = np.array([idx.size for _, idx, _, _ in step])
+        by_size = np.argsort(sizes, kind="stable")
+        sizes = sizes[by_size]
+        start = 0
+        while start < len(step):
+            # a block of k nodes pads to its largest, the k-th
+            fits = np.arange(1, len(step) - start + 1) * mtry * sizes[start:] <= _RANDOM_BLOCK
+            stop = start + max(1, int(np.count_nonzero(fits)))
+            part = by_size[start:stop]
+            nodes = [step[i][1] for i in part]
+            found = best_split_random(X, codes, n_classes, nodes, feats[part], uniforms[part], criterion)
+            for i, feat, thr, go_left in zip(part, *found):
+                t, idx, depth, node = step[i]
+                if feat >= 0:
+                    go_left = go_left[: idx.size]
+                    left, right = _split(builders[t], node, feat, thr)
+                    stacks[t] += [(idx[~go_left], depth + 1, right), (idx[go_left], depth + 1, left)]
+            start = stop
+        growing = [t for t, _, _, _ in step]
+    return [builder.freeze() for builder in builders]
 
 
 @dataclass
@@ -288,35 +353,47 @@ class Presorted:
 
     X: np.ndarray  # (n, d) training matrix
     order: np.ndarray  # (d, n): order[f] lists the rows by ascending X[:, f], ties by row
+    root: np.ndarray  # (n, d): ``order`` sample-major, the root node's order
     tied: np.ndarray  # the features holding two equal values, ascending
     sums: np.ndarray  # (n, d) scratch: a node's prefix sums, then its scores
     right: np.ndarray  # (n, d) scratch: a node's right-child terms
-    memo: dict = field(default_factory=dict)  # row-set bytes -> ``order_of`` of that set
+    memo: dict = field(default_factory=dict)  # row-set bytes -> order of that set
     memo_bytes: int = 0  # bytes of the orders in ``memo``
 
-    def order_of(self, rows) -> np.ndarray:
-        """Stable per-feature order of the ascending row ids ``rows``.
+    def orders_of(self, parts, within=None) -> list:
+        """Stable per-feature orders of the row sets ``parts``.
 
-        Returns (m, d): column f lists ``rows`` by ascending ``X[:, f]``,
-        ties by row, which is ``order[f]`` with the other rows left out.
-        It depends on the row set alone, so every tree of a fit that
-        reaches the same rows reads the order kept from the first, until
-        the kept orders fill ``_ORDER_BUDGET`` bytes.
+        ``parts`` are disjoint arrays of ascending row ids, all inside the
+        row set whose (m, d) order is ``within`` (every row when None).
+        Returns one (m_i, d) order per part: column f lists the part's
+        rows by ascending ``X[:, f]``, ties by row, which is column f of
+        ``within`` with the other rows left out. An order depends on its
+        row set alone, so every tree of a fit that reaches the same rows
+        reads the order kept from the first, until the kept orders fill
+        ``_ORDER_BUDGET`` bytes. The parts found in none are filtered
+        from ``within`` together, with one gather.
         """
-        key = rows.tobytes()
-        found = self.memo.get(key)
-        if found is not None:
+        found = [self.memo.get(rows.tobytes()) for rows in parts]
+        missing = [i for i, order in enumerate(found) if order is None]
+        if not missing:
             return found
-        member = np.zeros(self.X.shape[0], dtype=bool)
-        member[rows] = True
+        # feature-major (d, m); the root's is the presorted order itself
+        source = self.order if within is None or within is self.root else np.ascontiguousarray(within.T)
+        part = np.zeros(self.X.shape[0], dtype=np.uint8)  # 1 + each row's part, 0 outside them
+        for i in missing:
+            part[parts[i]] = i + 1
         # a flat take and compress are about 3x faster than a boolean index
         # of the 2-D order; "clip" skips the bounds check of in-range ids
-        kept = self.order.compress(np.take(member, self.order, mode="clip").ravel())
-        found = np.ascontiguousarray(kept.reshape(-1, rows.size).T)
-        found.flags.writeable = False  # shared by every node with these rows
-        if self.memo_bytes + found.nbytes <= _ORDER_BUDGET:
-            self.memo[key] = found
-            self.memo_bytes += found.nbytes
+        labels = np.take(part, source, mode="clip").ravel()
+        for i in missing:
+            rows = parts[i]
+            # each feature's run of the flat (d, m) source keeps its order
+            order = np.ascontiguousarray(source.compress(labels == i + 1).reshape(-1, rows.size).T)
+            order.flags.writeable = False  # shared by every node with these rows
+            if self.memo_bytes + order.nbytes <= _ORDER_BUDGET:
+                self.memo[rows.tobytes()] = order
+                self.memo_bytes += order.nbytes
+            found[i] = order
         return found
 
 
@@ -325,7 +402,7 @@ def presort(X) -> Presorted:
 
     The order is held in the smallest unsigned dtype that can name every
     row (uint8 up to 256 rows), which is also the dtype of every node
-    order ``order_of`` keeps. Also finds the features with ties: only
+    order ``orders_of`` keeps. Also finds the features with ties: only
     their adjacent sorted pairs can be equal, so only they need a tie
     mask in a node's split search.
     """
@@ -334,13 +411,15 @@ def presort(X) -> Presorted:
     values = np.take_along_axis(XT, order, axis=1)
     tied = np.flatnonzero((values[:, 1:] == values[:, :-1]).any(axis=1))
     order = order.astype(np.min_scalar_type(X.shape[0] - 1))
-    return Presorted(X, order, tied, np.empty(X.shape), np.empty(X.shape))
+    root = np.ascontiguousarray(order.T)
+    root.flags.writeable = False
+    return Presorted(X, order, root, tied, np.empty(X.shape), np.empty(X.shape))
 
 
 def best_split_regression(sorted_x, order, targets):
     """Exhaustive SSE-minimizing split of one node; None when nothing improves.
 
-    ``order`` is ``sorted_x.order_of`` the node's rows, (m, d);
+    ``order`` is the node's ``sorted_x.orders_of`` order, (m, d);
     ``targets`` is indexed by it. The arithmetic runs in the workspace of
     ``sorted_x``. Returns (feature, threshold, gain, n_left): the first
     ``n_left`` rows of ``order[:, feature]`` go left. Exact ties go to
@@ -394,39 +473,36 @@ def best_split_regression(sorted_x, order, targets):
 def grow_regression(sorted_x, targets, max_depth):
     """Mean-leaf regression tree, exhaustive splits over all features.
 
-    ``sorted_x`` is ``presort`` of the training matrix. Only the row ids
-    are carried down, ascending; a node that is searched looks its
-    stable per-feature order up with ``sorted_x.order_of``, and split
-    thresholds are read from ``sorted_x.X``. Returns the tree and each
-    training row's leaf index.
+    ``sorted_x`` is ``presort`` of the training matrix. The row ids are
+    carried down, ascending, and with them the stable per-feature order
+    of each node a search will reach: a split looks its children's
+    orders up with ``sorted_x.orders_of``, filtering misses from its own.
+    Split thresholds are read from ``sorted_x.X``. Returns the tree and
+    each training row's leaf index.
     """
     n = targets.size
     leaf = np.empty(n, dtype=np.int64)
     builder = _TreeBuilder()
-    root = builder.add()
-    stack = [(np.arange(n), 0, root)]
+    stack = [(np.arange(n), 0, builder.add(), sorted_x.root)]
     while stack:
-        idx, depth, node = stack.pop()
+        idx, depth, node, order = stack.pop()
         builder.value[node] = float(targets[idx].sum() / idx.size)  # np.mean's bits, not its overhead
         leaf[idx] = node  # a split overwrites this with the children's
         if idx.size < 2 or depth >= max_depth:
             continue
-        order = sorted_x.order_of(idx)
         found = best_split_regression(sorted_x, order, targets)
         if found is None:
             continue
         feat, thr, _, n_left = found
         go_left = np.zeros(n, dtype=bool)
         go_left[order[:n_left, feat]] = True
-        left_node = builder.add()
-        right_node = builder.add()
-        builder.feature[node] = feat
-        builder.threshold[node] = thr
-        builder.left[node] = left_node
-        builder.right[node] = right_node
         side = go_left[idx]
-        stack.append((idx[~side], depth + 1, right_node))
-        stack.append((idx[side], depth + 1, left_node))
+        left, right = _split(builder, node, feat, thr)
+        children = [(idx[~side], right), (idx[side], left)]
+        searched = [rows.size >= 2 and depth + 1 < max_depth for rows, _ in children]
+        orders = iter(sorted_x.orders_of([rows for (rows, _), s in zip(children, searched) if s], order))
+        for (rows, child), s in zip(children, searched):
+            stack.append((rows, depth + 1, child, next(orders) if s else None))
     return builder.freeze(), leaf
 
 
@@ -456,6 +532,8 @@ class DecisionTree(Classifier):
     def __init__(self, criterion="gini", max_features="auto", seed=0, splitter="best", max_depth=None):
         if criterion not in CRITERIA:
             raise ValueError(f"unknown criterion {criterion!r}")
+        if splitter not in ("best", "random"):
+            raise ValueError(f"unknown splitter {splitter!r}")
         self.criterion = criterion
         self.max_features = max_features
         self.seed = int(seed)
@@ -466,16 +544,11 @@ class DecisionTree(Classifier):
         X, codes, self.classes_ = encode_training_data(X, y)
         self.n_features_ = X.shape[1]
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(self.seed)))
-        self.nodes_ = grow_classification(
-            X,
-            codes,
-            len(self.classes_),
-            criterion=self.criterion,
-            max_features=self.max_features,
-            splitter=self.splitter,
-            max_depth=self.max_depth,
-            rng=rng,
-        )
+        K = len(self.classes_)
+        if self.splitter == "random":  # the one-tree case of extra trees' lockstep growth
+            (self.nodes_,) = grow_extra_trees(X, codes, K, [rng], self.criterion, self.max_features, self.max_depth)
+        else:
+            self.nodes_ = grow_classification(X, codes, K, self.criterion, self.max_features, self.max_depth, rng)
         return self
 
     def _predict_codes(self, X):

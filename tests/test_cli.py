@@ -576,6 +576,23 @@ class TestRun:
         assert err.count("\n") == 1
         assert err.startswith("corrupt input: ") and path in err
 
+    def test_empty_test_file_exit_code(self, cfg_path, tmp_path, capsys):
+        # a valid header and no rows: named as corrupt input before any fit,
+        # not left to fail every estimator's refit
+        out = str(tmp_path / "out")
+        generate(cfg_path, out)
+        path = os.path.join(out, "datasets", "outdoor-simple4-motion_filtered-test.rds")
+        with open(path, "rb") as fh:
+            buf = fh.read()
+        with open(path, "wb") as fh:
+            fh.write(rewritten(buf, rows=np.array([], dtype=np.int64)))
+        capsys.readouterr()
+        assert main(["run", "--config", cfg_path, "--out", out, "--jobs", "1"]) == EXIT_MISSING
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith("corrupt input: ") and path in err and "no examples" in err
+        assert not os.path.exists(os.path.join(out, "reports", "outdoor-simple4-motion_filtered.json"))
+
     def test_a_failed_entry_keeps_the_reports_written_before_it(self, tmp_path, capsys):
         # two entries; the second's train file is corrupt, so the run stops there
         cfg = tmp_path / "cfg.yaml"

@@ -232,18 +232,24 @@ class TestDecisionTree:
 
 
 class TestRandomSplitter:
+    """The batched random-split search, one node per call."""
+
     def test_constant_feature_never_chosen(self):
         rng = np.random.default_rng(0)
         X = np.column_stack([np.full(12, 3.0), rng.normal(size=12)])
         y = (X[:, 1] > 0).astype(np.int64)
         for trial in range(10):
-            found = best_split_random(X, y, 2, np.array([0, 1]), "gini", np.random.default_rng(trial))
-            assert found is not None and found[0] == 1
+            uniforms = np.random.default_rng(trial).random((1, 2))
+            feature, threshold, go_left = best_split_random(X, y, 2, [np.arange(12)], np.array([[0, 1]]), uniforms, "gini")
+            assert feature.tolist() == [1]
+            np.testing.assert_array_equal(go_left[0], X[:, 1] <= threshold[0])
 
-    def test_all_constant_returns_none(self):
+    def test_all_constant_has_no_split(self):
         X = np.full((6, 3), 2.0)
         y = np.array([0, 1, 0, 1, 0, 1])
-        assert best_split_random(X, y, 2, np.arange(3), "gini", np.random.default_rng(0)) is None
+        uniforms = np.random.default_rng(0).random((1, 3))
+        feature, _, _ = best_split_random(X, y, 2, [np.arange(6)], np.arange(3)[None, :], uniforms, "gini")
+        assert feature.tolist() == [-1]
 
     def test_random_tree_memorizes_training_set(self):
         rng = np.random.default_rng(11)
@@ -271,7 +277,7 @@ class TestRegressionTree:
     def test_no_split_returns_none_on_constant_targets(self):
         X = np.arange(6.0).reshape(-1, 1)
         sorted_x = presort(X)
-        assert best_split_regression(sorted_x, sorted_x.order_of(np.arange(6)), np.ones(6)) is None
+        assert best_split_regression(sorted_x, sorted_x.root, np.ones(6)) is None
 
     def test_depth_zero_is_global_mean(self):
         X = np.arange(10.0).reshape(-1, 1)

@@ -7,7 +7,7 @@ carried down the tree next to ``order``, a tie mask on every feature),
 kept here verbatim apart from their names. The rewritten kernels must
 grow the same node arrays and leaf indices byte for byte, and gradient
 boosting must fit the same stages. A node's order, looked up by row set
-(``Presorted.order_of``), must equal a stable sort of its rows.
+(``Presorted.orders_of``), must equal a stable sort of its rows.
 """
 
 import contextlib
@@ -295,20 +295,48 @@ class TestOrderOf:
         for m in (1, 2, 3, 10, 31, 48):
             for _ in range(3):
                 rows = np.sort(rng.choice(X.shape[0], size=m, replace=False))
-                got = sorted_x.order_of(rows)
+                (got,) = sorted_x.orders_of([rows])
                 assert got.shape == (m, X.shape[1]) and got.dtype == np.uint8
                 np.testing.assert_array_equal(got, stable_order(X, rows))
                 # a second lookup of the same rows reads the kept order,
                 # which no caller can write to
-                assert sorted_x.order_of(rows.copy()) is got
+                assert sorted_x.orders_of([rows.copy()])[0] is got
                 assert not got.flags.writeable
+
+    @pytest.mark.parametrize("kind", ["continuous", "rounded", "duplicated_rows"])
+    def test_parts_are_filtered_from_the_order_within(self, kind):
+        # a node's children from the node's own order, one or both at once
+        X = matrices()[kind]
+        rng = np.random.default_rng(604)
+        for m_parent in (2, 9, 30, 48):
+            parent_rows = np.sort(rng.choice(X.shape[0], size=m_parent, replace=False))
+            (parent,) = presort(X).orders_of([parent_rows])
+            for m in sorted({1, m_parent // 2, m_parent - 1}):
+                side = np.isin(parent_rows, rng.choice(parent_rows, size=m, replace=False))
+                parts = [parent_rows[side], parent_rows[~side]]
+                for chosen in (parts, parts[:1], parts[::-1]):
+                    got = presort(X).orders_of(chosen, parent)
+                    assert len(got) == len(chosen)
+                    for rows, order in zip(chosen, got):
+                        assert order.shape == (rows.size, X.shape[1]) and order.flags.c_contiguous
+                        np.testing.assert_array_equal(order, stable_order(X, rows))
+
+    def test_a_kept_part_is_read_and_the_other_filtered(self):
+        X = matrices()["rounded"]
+        sorted_x = presort(X)
+        left, right = np.arange(0, 48, 2), np.arange(1, 48, 2)
+        (kept,) = sorted_x.orders_of([left])
+        got = sorted_x.orders_of([left, right], sorted_x.root)
+        assert got[0] is kept
+        np.testing.assert_array_equal(got[1], stable_order(X, right))
+        np.testing.assert_array_equal(sorted_x.root, stable_order(X, np.arange(48)))
 
     def test_dtype_names_every_row(self):
         rng = np.random.default_rng(602)
         for n, dtype in ((256, np.uint8), (257, np.uint16)):
             X = np.round(rng.normal(size=(n, 3)), 1)
             rows = np.sort(rng.choice(n, size=n // 2, replace=False))
-            got = presort(X).order_of(rows)
+            (got,) = presort(X).orders_of([rows])
             assert got.dtype == dtype
             np.testing.assert_array_equal(got, stable_order(X, rows))
 
@@ -321,7 +349,7 @@ class TestOrderOf:
         rng = np.random.default_rng(603)
         for _ in range(40):
             rows = np.sort(rng.choice(X.shape[0], size=rng.integers(1, 30), replace=False))
-            np.testing.assert_array_equal(sorted_x.order_of(rows), stable_order(X, rows))
+            np.testing.assert_array_equal(sorted_x.orders_of([rows])[0], stable_order(X, rows))
             kept = sum(order.nbytes for order in sorted_x.memo.values())
             assert kept == sorted_x.memo_bytes <= tree._ORDER_BUDGET
         assert sorted_x.memo and sorted_x.memo_bytes > tree._ORDER_BUDGET - 30 * X.shape[1]
@@ -365,15 +393,20 @@ class TestEveryLookupMisses:
 
     def fit_without_memo(self, monkeypatch, X, y, n_stages):
         presorted, lookups = [], []
-        order_of = tree.Presorted.order_of
+        orders_of = tree.Presorted.orders_of
 
-        def counted(sorted_x, rows):
-            lookups.append(rows.tobytes())
-            return order_of(sorted_x, rows)
+        def counted(sorted_x, parts, within=None):
+            # every miss is filtered from the order of the split node,
+            # whose first column lists its rows
+            held = within[:, 0]
+            for rows in parts:
+                assert np.isin(rows, held).all()
+                lookups.append(rows.tobytes())
+            return orders_of(sorted_x, parts, within)
 
         with monkeypatch.context() as patch:
             patch.setattr(tree, "_ORDER_BUDGET", 0)
-            patch.setattr(tree.Presorted, "order_of", counted)
+            patch.setattr(tree.Presorted, "orders_of", counted)
             patch.setattr(ensemble, "presort", lambda X: presorted.append(presort(X)) or presorted[-1])
             got = GradientBoosting(n_estimators=n_stages, learning_rate=0.5).fit(X, y)
         (sorted_x,) = presorted
@@ -410,7 +443,7 @@ def split_of(X, rows, targets):
     """``best_split_regression`` of a node and the frozen kernel's split,
     with the left-child size the frozen kernel implies."""
     sorted_x = presort(X)
-    got = best_split_regression(sorted_x, sorted_x.order_of(rows), targets)
+    got = best_split_regression(sorted_x, sorted_x.orders_of([rows])[0], targets)
     order = stable_order(X, rows).T
     values = np.take_along_axis(X.T, order, axis=1)
     want = frozen_best_split_regression(order, values, targets)

@@ -18,7 +18,6 @@ from .grids import (
     KINDS,
     grid_axes,
     grid_candidates,
-    grid_size,
     validate_params,
 )
 from .linear import LinearSVC, LogisticRegression, Perceptron
@@ -31,7 +30,6 @@ __all__ = [
     "GRID_AXES",
     "grid_axes",
     "grid_candidates",
-    "grid_size",
     "validate_params",
     "accuracy_percent",
     "confusion_matrix",

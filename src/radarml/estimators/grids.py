@@ -77,13 +77,6 @@ def grid_axes(kind: str):
         raise ValueError(f"unknown estimator kind {kind!r}; expected one of {KINDS}") from None
 
 
-def grid_size(kind: str) -> int:
-    size = 1
-    for _, values in grid_axes(kind):
-        size *= len(values)
-    return size
-
-
 def grid_candidates(kind: str):
     """Yield parameter dicts in enumeration order."""
     axes = grid_axes(kind)

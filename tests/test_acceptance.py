@@ -16,7 +16,7 @@ import yaml
 
 from radarml.cli import _GEN_KEY, main
 from radarml.config import build_plan, parse_config
-from radarml.estimators.grids import KINDS, grid_size
+from radarml.estimators.grids import KINDS, grid_candidates
 from radarml.estimators.neighbors import KNearestNeighbors
 from radarml.estimators.tree import DecisionTree, impurity
 from radarml.labeling import SCHEMES
@@ -88,7 +88,7 @@ def test_criterion_2_estimator_oracles():
 
 
 def test_criterion_3_grid_fidelity_and_selection_rule():
-    sizes = tuple(grid_size(kind) for kind in KINDS)
+    sizes = tuple(len(list(grid_candidates(kind))) for kind in KINDS)
     assert sizes == (21, 5, 30, 7, 6, 30, 30, 20)
     # mean prefers A (80 vs 75) but the worst fold prefers B
     a = CandidateScore({"x": 0}, (100.0, 100.0, 40.0))

@@ -22,7 +22,6 @@ UNCALLED = {
     "motion_filter": "a per-scan transform README documents",
     "standardize": "a per-scan transform README documents",
     "run_experiment": "README's library example",
-    "grid_size": "the acceptance test checks the paper's grid sizes with it",
 }
 
 

@@ -7,7 +7,10 @@ carried down the tree next to ``order``, a tie mask on every feature),
 kept here verbatim apart from their names. The rewritten kernels must
 grow the same node arrays and leaf indices byte for byte, and gradient
 boosting must fit the same stages. A node's order, looked up by row set
-(``Presorted.orders_of``), must equal a stable sort of its rows.
+(``Presorted.orders_of``), must equal a stable sort of its rows. A node
+above the size check scores only the cut positions whose gain bound
+reaches the floor: it must still find the frozen kernel's split, and no
+gain the full search computes may exceed its position's bound.
 """
 
 import contextlib
@@ -16,6 +19,8 @@ import io
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radarml import cli, dataset, modelsel
 from radarml.config import DEFAULT_CONFIG
@@ -494,3 +499,185 @@ class TestSplitSelectionMatchesFrozenKernel:
         g = offset + rng.normal(size=40)
         for rows in (np.arange(40), np.sort(rng.choice(40, size=17, replace=False))):
             assert_same_split(*split_of(X, rows, g))
+
+
+@pytest.fixture
+def bounds_taken(monkeypatch):
+    """(row count, scale) of each node whose search took the gain bound."""
+    taken = []
+    gain_bounds = tree._gain_bounds
+
+    def counted(csum, tot, scale):
+        taken.append((csum.shape[0] + 1, scale))
+        return gain_bounds(csum, tot, scale)
+
+    monkeypatch.setattr(tree, "_gain_bounds", counted)
+    return taken
+
+
+def cut_gains(X, rows, targets):
+    """Every cut's gain as the full search computes it, (m - 1, d), -inf at
+    a tied pair, and the node's gain bounds and floor."""
+    order = stable_order(X, rows)
+    m = rows.size
+    sums = np.cumsum(targets[order], axis=0)  # sequential, as the row adds
+    csum, tot = sums[:-1], sums[-1]
+    nl = np.arange(1, m, dtype=np.float64)[:, None]
+    right = tot - csum
+    right *= right
+    right /= m - nl
+    gains = csum * csum
+    gains /= nl
+    gains += right
+    gains -= tot**2 / m
+    values = np.take_along_axis(X, order, axis=0)
+    gains[values[1:] == values[:-1]] = -np.inf
+    bound = tree._gain_bounds(csum, tot, 2.0 * m * np.abs(targets[rows]).max())
+    return gains, bound, gains[bound.argmax()].max()
+
+
+def assert_sound(X, rows, targets):
+    """No computed gain exceeds its position's bound, and every position the
+    bound drops holds only gains below the floor."""
+    gains, bound, floor = cut_gains(X, rows, targets)
+    assert (gains <= bound[:, None]).all()
+    assert (gains[bound < floor] < floor).all()
+    return (bound >= floor).mean()
+
+
+class TestBoundedSearchMatchesFrozenKernel:
+    """Nodes above the size check score only the cut positions whose gain
+    bound reaches the floor; the split must be that of the full search."""
+
+    def split(self, X, rows, targets, taken, bounded=True):
+        before = len(taken)
+        assert_same_split(*split_of(X, rows, targets))
+        assert len(taken) == before + bounded
+        if bounded:
+            # the scale comes from this node's own targets, every one of them
+            assert taken[-1] == (rows.size, 2.0 * rows.size * np.abs(targets[rows]).max())
+            assert_sound(X, rows, targets)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_zero_total_with_unit_prefix_sums(self, seed, bounds_taken):
+        # a boosting root: residuals of one class sum to about 0
+        rng = np.random.default_rng(900 + seed)
+        m = 64
+        X = rng.normal(size=(m, 40))
+        g = (rng.integers(0, 4, size=m) == 0) - 0.25
+        g -= g.mean()
+        assert abs(g.sum()) < 1e-12
+        self.split(X, np.arange(m), g, bounds_taken)
+        self.split(X, np.arange(m), np.where(np.arange(m) % 2, 1.0, -1.0), bounds_taken)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("offset", [1e8, -1e8, 1e12])
+    def test_large_common_offset(self, seed, offset, bounds_taken):
+        rng = np.random.default_rng(910 + seed)
+        X = tie_some(rng.normal(size=(60, 12)), rng)
+        g = offset + rng.normal(size=60)
+        for rows in (np.arange(60), np.sort(rng.choice(60, size=31, replace=False))):
+            self.split(X, rows, g, bounds_taken)
+
+    @pytest.mark.parametrize("magnitude", [1e-150, 1e150])
+    def test_extreme_magnitudes(self, magnitude, bounds_taken):
+        rng = np.random.default_rng(920)
+        X = rng.normal(size=(30, 10))
+        self.split(X, np.arange(30), magnitude * rng.normal(size=30), bounds_taken)
+
+    @pytest.mark.parametrize("magnitude", [2.0**-510, 2.0**507])
+    def test_magnitudes_past_the_bound_range(self, magnitude, bounds_taken):
+        # 2 m max|target| leaves ``_BOUND_SCALES``, so every position is
+        # scored; alternating signs keep the prefix sums from overflowing
+        rng = np.random.default_rng(925)
+        X = rng.normal(size=(30, 10))
+        g = magnitude * (np.where(np.arange(30) % 2, 1.0, -1.0) + rng.uniform(-0.2, 0.2, size=30))
+        scale = 2.0 * 30 * np.abs(g).max()
+        assert not tree._BOUND_SCALES[0] < scale < tree._BOUND_SCALES[1]
+        self.split(X, np.arange(30), g, bounds_taken, bounded=False)
+
+    @pytest.mark.parametrize("value", [0.0, 1.0, -3.7, 1e8])
+    def test_constant_targets(self, value, bounds_taken):
+        rng = np.random.default_rng(930)
+        X = rng.normal(size=(40, 8))
+        if value:
+            self.split(X, np.arange(40), np.full(40, value), bounds_taken)
+            assert split_of(X, np.arange(40), np.full(40, value))[0] is None
+        else:
+            # nothing to bound: every position is scored
+            self.split(X, np.arange(40), np.zeros(40), bounds_taken, bounded=False)
+
+    def test_tied_pair_at_the_largest_bound(self, bounds_taken):
+        # feature 0 orders the rows by target, but its rows 11 and 12 tie,
+        # so the cut with the largest bound is masked there
+        rng = np.random.default_rng(940)
+        m = 30
+        first = np.arange(m, dtype=np.float64)
+        first[12] = first[11]
+        X = np.column_stack([first, rng.normal(size=(m, 5))])
+        g = np.where(np.arange(m) < 12, 1.0, -0.5) + rng.normal(scale=0.01, size=m)
+        gains, bound, floor = cut_gains(X, np.arange(m), g)
+        assert bound.argmax() == 11 and gains[11, 0] == -np.inf
+        assert presort(X).tied.tolist() == [0]
+        self.split(X, np.arange(m), g, bounds_taken)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_tied_gains_at_the_largest_bound(self, seed, bounds_taken):
+        # copies of one column hold the best cut; the lowest copy wins
+        rng = np.random.default_rng(950 + seed)
+        col = rng.normal(size=40)
+        X = np.column_stack([rng.normal(size=40), col, rng.normal(size=40), col, col])
+        g = (col > 0.2) + rng.normal(scale=0.05, size=40)
+        self.split(X, np.arange(40), g, bounds_taken)
+        assert split_of(X, np.arange(40), g)[0][0] == 1
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_either_side_of_the_size_check(self, seed, bounds_taken):
+        rng = np.random.default_rng(960 + seed)
+        X = tie_some(rng.normal(size=(50, 20)), rng, 0.3)
+        g = rng.normal(size=50)
+        below = np.sort(rng.choice(50, size=tree._BOUND_MIN_ROWS, replace=False))
+        self.split(X, below, g, bounds_taken, bounded=False)
+        above = np.sort(rng.choice(50, size=tree._BOUND_MIN_ROWS + 1, replace=False))
+        self.split(X, above, g, bounds_taken)
+
+    @settings(max_examples=150)
+    @given(
+        st.integers(tree._BOUND_MIN_ROWS + 1, 80),
+        st.integers(1, 30),
+        st.floats(0.0, 1.0),
+        st.sampled_from([0.0, 1.0, -1e8, 1e12]),
+        st.floats(-140.0, 140.0),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_random_nodes(self, m, d, tie_share, offset, log_magnitude, seed):
+        rng = np.random.default_rng(seed)
+        X = tie_some(rng.normal(size=(m + 10, d)), rng, tie_share)
+        g = offset + 10.0**log_magnitude * rng.normal(size=m + 10)
+        rows = np.sort(rng.choice(m + 10, size=m, replace=False))
+        assert_same_split(*split_of(X, rows, g))
+        assert_sound(X, rows, g)
+
+
+def test_bound_is_sound_on_boosting_nodes(simple4_train, monkeypatch):
+    # every node a 16-stage fit searches, and the share of positions kept
+    # where a split is found (nodes of near-constant targets keep them all)
+    X, y = simple4_train.scans, simple4_train.labels
+    train_idx, _ = modelsel.stratified_kfold(y, 5, seed=1)[0]
+    nodes = []
+    search = tree.best_split_regression
+
+    def checked(sorted_x, order, targets):
+        found = search(sorted_x, order, targets)
+        rows = np.sort(order[:, 0]).astype(np.int64)
+        if rows.size > tree._BOUND_MIN_ROWS:
+            kept = assert_sound(sorted_x.X, rows, targets)
+            if found is not None:
+                nodes.append((rows.size - 1, kept))
+        return found
+
+    monkeypatch.setattr(tree, "best_split_regression", checked)
+    GradientBoosting(n_estimators=16, learning_rate=0.5).fit(X[train_idx], y[train_idx])
+    positions, kept = np.array(nodes).T
+    assert positions.size > 50
+    assert np.average(kept, weights=positions) < 0.1

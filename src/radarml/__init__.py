@@ -20,7 +20,7 @@ from .sigproc import (
     standardize,
     standardize_dataset,
 )
-from .synth import SPEED_OF_LIGHT, Scenario, generate_dataset, pulse_samples
+from .synth import SPEED_OF_LIGHT, Scenario, Target, generate_dataset, pulse_samples
 
 __version__ = "0.1.0"
 
@@ -43,6 +43,7 @@ __all__ = [
     "derive_dataset",
     "SPEED_OF_LIGHT",
     "Scenario",
+    "Target",
     "pulse_samples",
     "generate_dataset",
 ]

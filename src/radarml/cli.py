@@ -150,9 +150,7 @@ def _generate_group(config: ExperimentConfig, keys, members, out_dir):
                 scheme,
                 config.n_per_class,
                 seed,
-                reflectivity=config.target.reflectivity,
-                jitter_sigma=config.target.jitter_sigma,
-                min_range=config.target.min_range,
+                config.target,
                 rows=slice(start, start + _GROUP_BLOCK),
             )
         except ValueError as exc:  # every argument comes from the config

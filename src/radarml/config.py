@@ -10,21 +10,16 @@ from __future__ import annotations
 
 import math
 import typing
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 
 import yaml
 
 from .dataset import DATA_TYPES
 from .estimators import KINDS
-from .labeling import SCHEMES, Simple4Scheme
+from .labeling import SCHEMES
 from .modelsel import DEFAULT_N_FOLDS, DEFAULT_TRAIN_FRACTION, _round_half_up
 from .seeding import derive_seed
-from .synth import (
-    DEFAULT_JITTER_SIGMA,
-    DEFAULT_MIN_RANGE,
-    DEFAULT_REFLECTIVITY,
-    Scenario,
-)
+from .synth import Scenario, Target
 
 _SCENARIO_SEED_KEY = 201
 
@@ -36,6 +31,7 @@ def _field_types(cls, skip=()):
 
 
 _SCENARIO_FIELDS = _field_types(Scenario, skip=("scenario_id",))
+_TARGET_FIELDS = _field_types(Target)
 
 # calibrated so motion filtering separates the classes cleanly outdoors
 # while the noisier, more cluttered indoor setting degrades accuracy
@@ -44,11 +40,7 @@ DEFAULT_CONFIG = {
     "n_per_class": 200,
     "train_fraction": DEFAULT_TRAIN_FRACTION,
     "n_folds": DEFAULT_N_FOLDS,
-    "target": {
-        "reflectivity": DEFAULT_REFLECTIVITY,
-        "jitter_sigma": DEFAULT_JITTER_SIGMA,
-        "min_range": DEFAULT_MIN_RANGE,
-    },
+    "target": asdict(Target()),
     "scenarios": {
         "outdoor": {
             "environment": "outdoor",
@@ -119,33 +111,12 @@ def _string_list(value, allowed, where):
 
 
 @dataclass(frozen=True)
-class TargetParams:
-    reflectivity: float = DEFAULT_REFLECTIVITY
-    jitter_sigma: float = DEFAULT_JITTER_SIGMA
-    min_range: float = DEFAULT_MIN_RANGE
-
-    def __post_init__(self):
-        if self.reflectivity <= 0:
-            raise ValueError("reflectivity must be positive")
-        if self.jitter_sigma < 0:
-            raise ValueError("jitter_sigma must be nonnegative")
-        r_high = Simple4Scheme.R_HIGH
-        if not 0 < self.min_range < r_high:
-            raise ValueError(
-                f"min_range must lie above 0 and below the {Simple4Scheme.kind} high-risk boundary, {r_high} m"
-            )
-
-
-_TARGET_FIELDS = _field_types(TargetParams)
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     seed: int
     n_per_class: int
     train_fraction: float
     n_folds: int
-    target: TargetParams
+    target: Target
     scenarios: tuple  # of Scenario, config order
     schemes: tuple  # of scheme kind strings
     data_types: tuple
@@ -222,7 +193,7 @@ def parse_config(raw) -> ExperimentConfig:
         for key, value in target_raw.items()
     }
     try:
-        target = TargetParams(**target_kwargs)
+        target = Target(**target_kwargs)
     except ValueError as exc:
         raise ConfigError(f"target: {exc}") from exc
 

@@ -11,38 +11,36 @@ import itertools
 from types import MappingProxyType
 
 from .ensemble import ExtraTrees, GradientBoosting, RandomForest
-from .linear import LinearSVC, LogisticRegression, Perceptron
+from .linear import SOLVERS, LinearSVC, LogisticRegression, Perceptron
 from .neighbors import KNearestNeighbors
-from .tree import DecisionTree
+from .tree import CRITERIA, MAX_FEATURES, DecisionTree
 
 _C_VALUES = (0.001, 0.01, 0.1, 1.0, 10.0, 100.0, 1000.0)
 _TREE_COUNTS = (16, 32, 64, 128, 256)
-_CRITERIA = ("gini", "entropy")
-_MAX_FEATURES = ("auto", "sqrt", "log2")
 
 # kind -> ((axis name, ordered values), ...)
 GRID_AXES = MappingProxyType(
     {
         "logistic_regression": (
             ("C", _C_VALUES),
-            ("solver", ("lbfgs", "sag", "newton-cg")),
+            ("solver", SOLVERS),
         ),
         "perceptron": (("alpha", (0.0001, 0.001, 0.01, 0.1, 1.0)),),
         "knn": (("n_neighbors", tuple(range(1, 31))),),
         "linear_svc": (("C", _C_VALUES),),
         "decision_tree": (
-            ("criterion", _CRITERIA),
-            ("max_features", _MAX_FEATURES),
+            ("criterion", CRITERIA),
+            ("max_features", MAX_FEATURES),
         ),
         "random_forest": (
             ("n_estimators", _TREE_COUNTS),
-            ("criterion", _CRITERIA),
-            ("max_features", _MAX_FEATURES),
+            ("criterion", CRITERIA),
+            ("max_features", MAX_FEATURES),
         ),
         "extra_trees": (
             ("n_estimators", _TREE_COUNTS),
-            ("criterion", _CRITERIA),
-            ("max_features", _MAX_FEATURES),
+            ("criterion", CRITERIA),
+            ("max_features", MAX_FEATURES),
         ),
         "gradient_boosting": (
             ("n_estimators", _TREE_COUNTS),

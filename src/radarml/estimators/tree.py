@@ -36,6 +36,7 @@ import numpy as np
 from .base import Classifier, encode_training_data
 
 CRITERIA = ("gini", "entropy")
+MAX_FEATURES = ("auto", "sqrt", "log2")
 
 # Minimum improvement for a regression split; guards against accepting
 # pure float noise on constant targets.
@@ -103,12 +104,12 @@ def resolve_max_features(max_features, n_features: int) -> int:
     """
     if max_features is None:
         return n_features
-    if max_features in ("auto", "sqrt"):
-        m = math.ceil(math.sqrt(n_features))
-    elif max_features == "log2":
+    if max_features not in MAX_FEATURES:
+        raise ValueError(f"unknown max_features {max_features!r}; expected None or one of {MAX_FEATURES}")
+    if max_features == "log2":
         m = math.ceil(math.log2(n_features)) if n_features > 1 else 1
     else:
-        raise ValueError(f"unknown max_features {max_features!r}")
+        m = math.ceil(math.sqrt(n_features))
     return min(max(1, m), n_features)
 
 
@@ -628,15 +629,12 @@ class DecisionTree(Classifier):
 
     kind = "decision_tree"
 
-    def __init__(self, criterion="gini", max_features="auto", seed=0, splitter="best", max_depth=None):
+    def __init__(self, criterion="gini", max_features="auto", seed=0, max_depth=None):
         if criterion not in CRITERIA:
             raise ValueError(f"unknown criterion {criterion!r}")
-        if splitter not in ("best", "random"):
-            raise ValueError(f"unknown splitter {splitter!r}")
         self.criterion = criterion
         self.max_features = max_features
         self.seed = int(seed)
-        self.splitter = splitter
         self.max_depth = max_depth
 
     def fit(self, X, y):
@@ -644,10 +642,7 @@ class DecisionTree(Classifier):
         self.n_features_ = X.shape[1]
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(self.seed)))
         K = len(self.classes_)
-        if self.splitter == "random":  # the one-tree case of extra trees' lockstep growth
-            (self.nodes_,) = grow_extra_trees(X, codes, K, [rng], self.criterion, self.max_features, self.max_depth)
-        else:
-            self.nodes_ = grow_classification(X, codes, K, self.criterion, self.max_features, self.max_depth, rng)
+        self.nodes_ = grow_classification(X, codes, K, self.criterion, self.max_features, self.max_depth, rng)
         return self
 
     def _predict_codes(self, X):

@@ -14,7 +14,7 @@ import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -273,29 +273,12 @@ class EvalReport:
     grad_norm: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "dataset_id": self.dataset_id,
-            "best_params": dict(self.best_params),
-            "fold_scores": list(self.fold_scores),
-            "validation_accuracy": self.validation_accuracy,
-            "min_fold_accuracy": self.min_fold_accuracy,
-            "test_accuracy": self.test_accuracy,
-            "confusion": self.confusion.tolist(),
-            "n_train": self.n_train,
-            "n_test": self.n_test,
-            "seconds": self.seconds,
-            "n_iter": self.n_iter,
-            "converged": self.converged,
-            "grad_norm": self.grad_norm,
-        }
+        return {**asdict(self), "confusion": self.confusion.tolist()}
 
 
 @dataclass
 class ExperimentResult:
     dataset_id: str
-    train_indices: np.ndarray
-    test_indices: np.ndarray
     reports: dict = field(default_factory=dict)  # kind -> EvalReport
     errors: dict = field(default_factory=dict)  # kind -> message
 
@@ -476,8 +459,6 @@ def evaluate_kinds(
     candidates_by_kind=None,
     seed=0,
     n_folds=DEFAULT_N_FOLDS,
-    train_indices=None,
-    test_indices=None,
     jobs=None,
 ) -> ExperimentResult:
     """Tune, refit, and test every requested kind on a pre-split dataset.
@@ -507,11 +488,7 @@ def evaluate_kinds(
             raise ValueError(f"unknown estimator kind {kind!r}")
     folds = stratified_kfold(y_train, n_folds, seed=seed)
     class_order = np.unique(np.concatenate([y_train, y_test]))
-    result = ExperimentResult(
-        dataset_id=dataset_id,
-        train_indices=np.asarray([] if train_indices is None else train_indices),
-        test_indices=np.asarray([] if test_indices is None else test_indices),
-    )
+    result = ExperimentResult(dataset_id=dataset_id)
     keys = {
         kind: (
             None if candidates_by_kind is None else candidates_by_kind.get(kind),
@@ -587,6 +564,4 @@ def run_experiment(
         candidates_by_kind=candidates_by_kind,
         seed=seed,
         n_folds=n_folds,
-        train_indices=tr_idx,
-        test_indices=te_idx,
     )

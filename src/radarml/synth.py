@@ -19,16 +19,11 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .dataset import LabeledDataset
+from .labeling import Simple4Scheme
 from .seeding import make_rng, make_rngs
 from .sigproc import sample_limit
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
-
-# Placement defaults. Reflectivity and jitter are sized so a swaying
-# person leaves a clear slow-time difference signature at 3 m.
-DEFAULT_MIN_RANGE = 0.3  # m
-DEFAULT_REFLECTIVITY = 4.0
-DEFAULT_JITTER_SIGMA = 0.06  # m per-scan radial micro-motion
 
 # Clutter echoes keep clear of the scan edges by this many pulse widths.
 _CLUTTER_EDGE_SIGMAS = 6.0
@@ -104,6 +99,32 @@ class Scenario:
         return 2.0 * range_m / SPEED_OF_LIGHT / (self.bin_duration_ps * 1e-12)
 
 
+@dataclass(frozen=True)
+class Target:
+    """The person a target example holds, the same in every scenario.
+
+    The defaults are sized so a swaying person leaves a clear slow-time
+    difference signature at 3 m. ``min_range`` starts simple4's first
+    zone, so it must lie below that zone's far edge.
+    """
+
+    reflectivity: float = 4.0  # echo amplitude at 1 m
+    jitter_sigma: float = 0.06  # m per-scan radial micro-motion
+    min_range: float = 0.3  # m, nearest target range
+
+    def __post_init__(self):
+        _check_finite(**{f.name: getattr(self, f.name) for f in fields(self)})
+        if self.reflectivity <= 0:
+            raise ValueError("reflectivity must be positive")
+        if self.jitter_sigma < 0:
+            raise ValueError("jitter_sigma must be nonnegative")
+        r_high = Simple4Scheme.R_HIGH
+        if not 0 < self.min_range < r_high:
+            raise ValueError(
+                f"min_range must lie above 0 and below the {Simple4Scheme.kind} high-risk boundary, {r_high} m"
+            )
+
+
 def pulse_samples(
     n_bins: int, center_bin, amplitude, sigma_bins: float, cycles_per_bin: float
 ) -> np.ndarray:
@@ -151,8 +172,6 @@ def _place(scheme, bounds: np.ndarray, u: np.ndarray):
     on the same stream would place.
     """
     lo, hi = bounds[..., 0], bounds[..., 1]
-    if not np.all(lo < hi):
-        raise ValueError("min_range must lie below the high-risk boundary")
     return scheme.polar(*np.moveaxis(lo + (hi - lo) * u, -1, 0))
 
 
@@ -167,14 +186,13 @@ def generate_dataset(
     scheme,
     n_per_class: int,
     seed: int,
+    target: Target = Target(),
     *,
-    reflectivity: float = DEFAULT_REFLECTIVITY,
-    jitter_sigma: float = DEFAULT_JITTER_SIGMA,
-    min_range: float = DEFAULT_MIN_RANGE,
     rows: slice | None = None,
 ) -> LabeledDataset:
     """Balanced raw dataset with a slow-time triple per example, labeled
-    by ``scheme``, one of ``labeling.SCHEMES``.
+    by ``scheme``, one of ``labeling.SCHEMES``, each target example
+    holding ``target``.
 
     For every example three consecutive scans (t-2, t-1, t) are
     synthesized from the same target placement; the trailing scan is the
@@ -207,9 +225,9 @@ def generate_dataset(
     amplitudes as one Python float power per echo. The pulses are added in
     blocks of examples; each sample is still (background + echo) + noise,
     as one scan at a time would sum it, so the result is the same to the
-    last bit as scan-by-scan synthesis. Raises if a target's nominal echo
-    delay falls outside the scan window, if an argument or scenario value
-    is not finite, or if a sample is not finite or exceeds
+    last bit as scan-by-scan synthesis. ``Scenario`` and ``Target`` check
+    their own values. Raises if a target's nominal echo delay falls
+    outside the scan window, or if a sample is not finite or exceeds
     ``sigproc.sample_limit`` in magnitude, as when range**amplitude_exponent
     leaves the float range. That check of the raw samples is
     the only finiteness scan on the way to ``generate``'s files: what is
@@ -217,11 +235,6 @@ def generate_dataset(
     """
     if n_per_class < 2:
         raise ValueError("n_per_class must be at least 2")
-    _check_finite(reflectivity=reflectivity, jitter_sigma=jitter_sigma, min_range=min_range)
-    if reflectivity <= 0:
-        raise ValueError("reflectivity must be positive")
-    if jitter_sigma < 0:
-        raise ValueError("jitter_sigma must be nonnegative")
     labels = balanced_labels(scheme, n_per_class)
     indices = range(labels.size)
     if rows is not None:
@@ -229,7 +242,7 @@ def generate_dataset(
     n_examples = labels.size
     n_bins = scenario.n_bins
     noisy = scenario.noise_sigma > 0
-    jittered = jitter_sigma > 0
+    jittered = target.jitter_sigma > 0
     # scans t-2, t-1, t of each example; holds the standard normal noise
     # until the blocks scale it and add the signal
     samples = np.empty((n_examples, 3, n_bins))
@@ -248,10 +261,8 @@ def generate_dataset(
         elif noisy:
             rng.standard_normal(out=samples[i])
     has_target = labels != 0
-    bounds = scheme.placement_bounds(min_range)[labels[has_target]]
+    bounds = scheme.placement_bounds(target.min_range)[labels[has_target]]
     range_m, _ = _place(scheme, bounds, u[has_target])
-    if not np.all(range_m > 0):
-        raise ValueError("target range must be positive")
     beyond = scenario.delay_bins(range_m) >= n_bins
     if beyond.any():
         raise ValueError(
@@ -260,13 +271,13 @@ def generate_dataset(
         )
     ranges = np.repeat(range_m[:, None], 3, axis=1)
     if jittered:
-        ranges = np.maximum(ranges + jitter_sigma * z_jitter[has_target], 1e-3)
+        ranges = np.maximum(ranges + target.jitter_sigma * z_jitter[has_target], 1e-3)
     centers = np.zeros((n_examples, 3))
     amplitudes = np.zeros((n_examples, 3))
     centers[has_target] = scenario.delay_bins(ranges)
     # a Python float power per echo: numpy's array r**2.0 squares, which
     # can round differently from pow
-    exponent = scenario.amplitude_exponent
+    reflectivity, exponent = target.reflectivity, scenario.amplitude_exponent
     limit = sample_limit(n_bins)
     try:
         echoes = [reflectivity / r**exponent for r in ranges.ravel().tolist()]

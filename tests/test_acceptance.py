@@ -142,9 +142,7 @@ def _derived(config, scenario_id, scheme):
         SCHEMES[scheme],
         config.n_per_class,
         derive_seed(config.seed, _GEN_KEY, si, list(SCHEMES).index(scheme)),
-        reflectivity=config.target.reflectivity,
-        jitter_sigma=config.target.jitter_sigma,
-        min_range=config.target.min_range,
+        config.target,
     )
     return standardize_dataset(derive_dataset(raw, "motion_filtered"))
 

@@ -423,9 +423,7 @@ class TestStreamedGroups:
                 SCHEMES[entry.scheme],
                 config.n_per_class,
                 derive_seed(config.seed, cli._GEN_KEY, si, schi),
-                reflectivity=config.target.reflectivity,
-                jitter_sigma=config.target.jitter_sigma,
-                min_range=config.target.min_range,
+                config.target,
             )
             ds = standardize_dataset(derive_dataset(raw, entry.data_type))
             split_seed = derive_seed(config.seed, cli._SPLIT_KEY, si, schi, dti)

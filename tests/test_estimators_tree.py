@@ -7,6 +7,7 @@ from radarml.estimators.tree import (
     DecisionTree,
     best_split_random,
     best_split_regression,
+    grow_extra_trees,
     grow_regression,
     impurity,
     presort,
@@ -256,8 +257,8 @@ class TestRandomSplitter:
         X = rng.normal(size=(20, 4))
         y = rng.integers(0, 2, size=20)
         y[:2] = [0, 1]
-        tree = DecisionTree(max_features=None, splitter="random", seed=1).fit(X, y)
-        np.testing.assert_array_equal(tree.predict(X), y)
+        (nodes,) = grow_extra_trees(X, y, 2, [np.random.Generator(np.random.PCG64(np.random.SeedSequence(1)))])
+        np.testing.assert_array_equal(tree_apply(nodes, X), y)
 
 
 class TestRegressionTree:

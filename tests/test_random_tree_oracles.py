@@ -3,9 +3,9 @@
 ``frozen_best_split_random`` and ``frozen_grow_random`` are the per-node
 random-split search and the depth-first growth as they were before the
 trees of a forest grew in lockstep, kept here verbatim apart from their
-names and the exhaustive branch. ``ExtraTrees`` and
-``DecisionTree(splitter="random")`` must grow the same node arrays byte
-for byte: every tree draws the same features and uniforms from its own
+names and the exhaustive branch. ``ExtraTrees`` and a lone
+``grow_extra_trees`` tree must grow the same node arrays byte for byte:
+every tree draws the same features and uniforms from its own
 generator, in the same order, and each batched node is scored by the
 same arithmetic as a lone one.
 """
@@ -22,7 +22,6 @@ from radarml.config import DEFAULT_CONFIG
 from radarml.estimators import tree
 from radarml.estimators.ensemble import ExtraTrees
 from radarml.estimators.tree import (
-    DecisionTree,
     _candidate_features,
     _TreeBuilder,
     _weighted_child_impurity,
@@ -133,13 +132,14 @@ def assert_same_forest(X, y, n_estimators, criterion, max_features="auto", seed=
     return got
 
 
-def assert_same_decision_tree(X, y, criterion, max_features, max_depth=None, seed=0):
-    model = DecisionTree(criterion, max_features, seed, splitter="random", max_depth=max_depth).fit(X, y)
-    codes = np.unique(y, return_inverse=True)[1]
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    want = frozen_grow_random(X, codes, np.unique(y).size, criterion, max_features, max_depth, rng)
-    assert_same_trees([model.nodes_], [want])
-    return model.nodes_
+def assert_same_lone_tree(X, y, criterion, max_features, max_depth=None, seed=0):
+    classes, codes = np.unique(y, return_inverse=True)
+    # the generator a DecisionTree of this seed builds, once for each growth
+    rng, frozen_rng = (np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed))) for _ in range(2))
+    (got,) = tree.grow_extra_trees(X, codes, classes.size, [rng], criterion, max_features, max_depth)
+    want = frozen_grow_random(X, codes, classes.size, criterion, max_features, max_depth, frozen_rng)
+    assert_same_trees([got], [want])
+    return got
 
 
 def test_uniform_is_an_affine_map_of_random():
@@ -240,7 +240,7 @@ class TestForestMatchesFrozenGrowth:
             assert_same_forest(X, y, 64, criterion, max_features=None)
 
 
-class TestDecisionTreeMatchesFrozenGrowth:
+class TestLoneTreeMatchesFrozenGrowth:
     @pytest.mark.parametrize("criterion", CRITERIA)
     @pytest.mark.parametrize("max_features", [None, "auto", "log2"])
     @pytest.mark.parametrize("max_depth", [None, 0, 1, 2, 4])
@@ -249,17 +249,17 @@ class TestDecisionTreeMatchesFrozenGrowth:
         X = rng.normal(size=(40, 30))
         y = rng.integers(0, 4, size=40)
         for seed in range(3):
-            nodes = assert_same_decision_tree(X, y, criterion, max_features, max_depth, seed)
+            nodes = assert_same_lone_tree(X, y, criterion, max_features, max_depth, seed)
             if max_depth == 0:
                 assert nodes.n_nodes == 1
 
     @pytest.mark.parametrize("criterion", CRITERIA)
     def test_constant_features_and_two_rows(self, criterion):
         X = np.array([[5.0, 1.0, 0.0], [5.0, 2.0, 0.0]])
-        nodes = assert_same_decision_tree(X, np.array([0, 1]), criterion, None)
+        nodes = assert_same_lone_tree(X, np.array([0, 1]), criterion, None)
         assert nodes.feature.tolist() == [1, -1, -1]
         all_constant = np.full((4, 3), 7.0)
-        nodes = assert_same_decision_tree(all_constant, np.array([0, 1, 0, 1]), criterion, None)
+        nodes = assert_same_lone_tree(all_constant, np.array([0, 1, 0, 1]), criterion, None)
         assert nodes.n_nodes == 1
 
 

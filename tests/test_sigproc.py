@@ -15,7 +15,7 @@ from radarml.sigproc import (
     standardize_dataset,
     standardize_rows,
 )
-from radarml.synth import Scenario, generate_dataset, pulse_samples
+from radarml.synth import Scenario, Target, generate_dataset, pulse_samples
 
 finite_vectors = st.lists(
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, width=64),
@@ -337,7 +337,7 @@ def _static_raw():
         noise_sigma=0.0,
         seed=1,
     )
-    return generate_dataset(sc, Simple4Scheme(), 2, seed=2, jitter_sigma=0.0)
+    return generate_dataset(sc, Simple4Scheme(), 2, seed=2, target=Target(jitter_sigma=0.0))
 
 
 @pytest.fixture(scope="module")

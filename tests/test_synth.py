@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from radarml import synth
 from radarml.labeling import Grid10Scheme, Simple4Scheme
 from radarml.seeding import make_rng, seed_sequence
-from radarml.synth import Scenario, generate_dataset, pulse_samples
+from radarml.synth import Scenario, Target, generate_dataset, pulse_samples
 from test_labeling import TargetState, label_of
 
 
@@ -79,13 +80,13 @@ def reference_scan(sc, target, rng):
     return samples
 
 
-def reference_place(label, scheme, rng, *, reflectivity=4.0, jitter_sigma=0.06, min_range=0.3):
+def reference_place(label, scheme, rng, target=Target()):
     """A target in the zone or cell of ``label`` from two ``uniform`` calls,
     as the generator placed targets before it drew its uniforms as one
     block; kept apart from ``place_target_for_label`` on purpose."""
     if scheme.kind == "simple4":
         zones = {
-            1: (min_range, scheme.R_HIGH),
+            1: (target.min_range, scheme.R_HIGH),
             2: (scheme.R_HIGH, scheme.R_MED),
             3: (scheme.R_MED, scheme.R_LOW),
         }
@@ -103,54 +104,55 @@ def reference_place(label, scheme, rng, *, reflectivity=4.0, jitter_sigma=0.06, 
     return TargetState(
         range_m=float(range_m),
         azimuth=float(azimuth),
-        reflectivity=reflectivity,
-        jitter_sigma=jitter_sigma,
+        reflectivity=target.reflectivity,
+        jitter_sigma=target.jitter_sigma,
     )
 
 
-def place_target_for_label(label, scheme, rng, *, reflectivity=4.0, jitter_sigma=0.06, min_range=0.3):
+def place_target_for_label(label, scheme, rng, target=Target()):
     """The target that the generator places for ``label`` from
     ``rng.random(2)``, through ``placement_bounds`` and its own ``_place``."""
-    bounds = scheme.placement_bounds(min_range)[label]
+    bounds = scheme.placement_bounds(target.min_range)[label]
     range_m, azimuth = synth._place(scheme, bounds, rng.random(2))
-    return TargetState(float(range_m), float(azimuth), reflectivity, jitter_sigma)
+    return TargetState(float(range_m), float(azimuth), target.reflectivity, target.jitter_sigma)
 
 
-def reference_targets(scheme, n_per_class, seed, **placement):
+def reference_targets(scheme, n_per_class, seed, target=Target()):
     """(label, target, rng) per example, the rng positioned after placement."""
     labels = np.repeat(np.arange(scheme.n_classes), n_per_class)
     children = seed_sequence(seed).spawn(labels.size)
     for label, child in zip(labels, children):
         rng = np.random.Generator(np.random.PCG64(child))
-        target = reference_place(int(label), scheme, rng, **placement) if label else None
-        yield int(label), target, rng
+        placed = reference_place(int(label), scheme, rng, target) if label else None
+        yield int(label), placed, rng
 
 
-def reference_dataset(sc, scheme, n_per_class, seed, **placement):
+def reference_dataset(sc, scheme, n_per_class, seed, target=Target()):
     triples = [
-        [reference_scan(sc, target, rng) for _ in range(3)]
-        for _, target, rng in reference_targets(scheme, n_per_class, seed, **placement)
+        [reference_scan(sc, placed, rng) for _ in range(3)]
+        for _, placed, rng in reference_targets(scheme, n_per_class, seed, target)
     ]
     return np.array(triples)  # (n, 3, n_bins): t-2, t-1, t
 
 
 class TestAgainstPerScanReference:
     @pytest.mark.parametrize(
-        "scheme, scenario, placement",
+        "scheme, scenario, target",
         [
-            (Simple4Scheme(), dict(clutter_amplitude=0.05, clutter_path_count=4, noise_sigma=0.001), {}),
-            (Grid10Scheme(), dict(clutter_amplitude=0.5, clutter_path_count=14, noise_sigma=0.05), {}),
-            (Simple4Scheme(), dict(clutter_amplitude=0.3, clutter_path_count=6), dict(jitter_sigma=0.0)),
-            (Grid10Scheme(), dict(noise_sigma=0.02), dict(jitter_sigma=0.0, reflectivity=2.5)),
-            (Simple4Scheme(), dict(clutter_amplitude=0.2, clutter_path_count=3, n_bins=360), dict(min_range=0.5)),
+            (Simple4Scheme(), dict(clutter_amplitude=0.05, clutter_path_count=4, noise_sigma=0.001), Target()),
+            (Grid10Scheme(), dict(clutter_amplitude=0.5, clutter_path_count=14, noise_sigma=0.05), Target()),
+            (Simple4Scheme(), dict(clutter_amplitude=0.3, clutter_path_count=6), Target(jitter_sigma=0.0)),
+            (Grid10Scheme(), dict(noise_sigma=0.02), Target(jitter_sigma=0.0, reflectivity=2.5)),
+            (Simple4Scheme(), dict(noise_sigma=0.01), Target(reflectivity=0.7, jitter_sigma=0.11, min_range=0.05)),
+            (Simple4Scheme(), dict(clutter_amplitude=0.2, clutter_path_count=3, n_bins=360), Target(min_range=0.5)),
         ],
     )
-    def test_bit_identical(self, scheme, scenario, placement):
+    def test_bit_identical(self, scheme, scenario, target):
         # 300 examples per grid10 set span more than one synthesis block
         sc = quiet_scenario(seed=7, **scenario)
         n_per_class = 30
-        ds = generate_dataset(sc, scheme, n_per_class, seed=13, **placement)
-        want = reference_dataset(sc, scheme, n_per_class, 13, **placement)
+        ds = generate_dataset(sc, scheme, n_per_class, seed=13, target=target)
+        want = reference_dataset(sc, scheme, n_per_class, 13, target)
         assert ds.scans.tobytes() == np.ascontiguousarray(want[:, 2]).tobytes()
         assert ds.history.tobytes() == np.ascontiguousarray(want[:, :2]).tobytes()
         assert ds.labels.tolist() == np.repeat(np.arange(scheme.n_classes), n_per_class).tolist()
@@ -208,8 +210,9 @@ class TestSynthesizedScans:
         # direct-path support at the head of the scan
         sc = quiet_scenario()
         skip = int(6 * sc.pulse_sigma_bins)
-        ds = generate_dataset(sc, Grid10Scheme(), 8, seed=3, jitter_sigma=0.0)
-        targets = [t for _, t, _ in reference_targets(Grid10Scheme(), 8, 3, jitter_sigma=0.0)]
+        still = Target(jitter_sigma=0.0)
+        ds = generate_dataset(sc, Grid10Scheme(), 8, seed=3, target=still)
+        targets = [t for _, t, _ in reference_targets(Grid10Scheme(), 8, 3, still)]
         checked = 0
         for s, t in zip(ds.scans, targets):
             if t is None or t.range_m < 0.8:
@@ -220,9 +223,10 @@ class TestSynthesizedScans:
 
     def test_echo_amplitude_falls_with_range_squared(self):
         sc = quiet_scenario()
-        ds = generate_dataset(sc, Simple4Scheme(), 20, seed=5, jitter_sigma=0.0, reflectivity=4.0)
+        still = Target(reflectivity=4.0, jitter_sigma=0.0)
+        ds = generate_dataset(sc, Simple4Scheme(), 20, seed=5, target=still)
         background = ds.scans[0]
-        targets = [t for _, t, _ in reference_targets(Simple4Scheme(), 20, 5, jitter_sigma=0.0)]
+        targets = [t for _, t, _ in reference_targets(Simple4Scheme(), 20, 5, still)]
         for s, t in zip(ds.scans[20:], targets[20:]):
             peak = np.abs(s - background).max()
             # grid sampling of the carrier shaves at most a few percent off
@@ -237,8 +241,8 @@ class TestSynthesizedScans:
 
     def test_jitter_moves_the_echo_between_scans(self):
         sc = quiet_scenario()
-        moving = generate_dataset(sc, Simple4Scheme(), 2, seed=4, jitter_sigma=0.06)
-        still = generate_dataset(sc, Simple4Scheme(), 2, seed=4, jitter_sigma=0.0)
+        moving = generate_dataset(sc, Simple4Scheme(), 2, seed=4, target=Target(jitter_sigma=0.06))
+        still = generate_dataset(sc, Simple4Scheme(), 2, seed=4, target=Target(jitter_sigma=0.0))
         for i in range(2, 8):
             assert not np.array_equal(moving.scans[i], moving.history[i, 1])
             np.testing.assert_array_equal(still.scans[i], still.history[i, 0])
@@ -298,8 +302,8 @@ class TestPlacement:
     def test_equals_two_uniform_calls(self, scheme):
         for i in range(1000):
             label = 1 + i % (scheme.n_classes - 1)
-            want = reference_place(label, scheme, make_rng(31, i), min_range=0.5)
-            got = place_target_for_label(label, scheme, make_rng(31, i), min_range=0.5)
+            want = reference_place(label, scheme, make_rng(31, i), Target(min_range=0.5))
+            got = place_target_for_label(label, scheme, make_rng(31, i), Target(min_range=0.5))
             assert got == want
 
     @given(st.integers(1, 3), st.integers(0, 2**32))
@@ -314,9 +318,12 @@ class TestPlacement:
         t = place_target_for_label(label, scheme, make_rng(seed))
         assert label_of(t, scheme) == label
 
-    def test_min_range_must_leave_room(self):
-        with pytest.raises(ValueError, match="min_range must lie below"):
-            generate_dataset(quiet_scenario(), Simple4Scheme(), 2, seed=0, min_range=1.0)
+    @pytest.mark.parametrize("min_range", [0.0, 1.0, 2.5])
+    def test_min_range_must_leave_room(self, min_range):
+        # simple4's first zone is [min_range, 1 m); no other zone reads min_range
+        message = "min_range must lie above 0 and below the simple4 high-risk boundary, 1.0 m"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Target(min_range=min_range)
 
 
 class TestGenerateDataset:
@@ -376,7 +383,7 @@ class TestGenerateDataset:
     @pytest.mark.parametrize("reflectivity", [1e151, 1e308])
     def test_samples_beyond_the_limit_rejected(self, reflectivity):
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match=r"finite and within ±3.18e\+149$"):
-            generate_dataset(quiet_scenario(), Simple4Scheme(), 2, seed=0, reflectivity=reflectivity)
+            generate_dataset(quiet_scenario(), Simple4Scheme(), 2, seed=0, target=Target(reflectivity=reflectivity))
 
     # without jitter the ranges of simple4's class 3 lie in [2, 3), where
     # range**1100 overflows and range**-1100 underflows to 0
@@ -385,7 +392,7 @@ class TestGenerateDataset:
         sc = quiet_scenario(amplitude_exponent=exponent)
         message = rf"within ±3.18e\+149: range\*\*{exponent:g} leaves the float range$"
         with pytest.raises(ValueError, match=message):
-            generate_dataset(sc, Simple4Scheme(), 2, seed=0, jitter_sigma=0.0, rows=slice(6, 8))
+            generate_dataset(sc, Simple4Scheme(), 2, seed=0, target=Target(jitter_sigma=0.0), rows=slice(6, 8))
 
     def test_huge_samples_within_the_limit_accepted(self):
         # echoes of 4 / range**300: as at a 480-bin scan's limit, finite
@@ -421,9 +428,8 @@ class TestValidation:
         with pytest.raises(ValueError, match=rf"^{field} must be finite, got {value!r}$"):
             quiet_scenario(**{field: value})
 
-    @pytest.mark.parametrize("param", ["reflectivity", "jitter_sigma", "min_range"])
-    @pytest.mark.parametrize("scheme", [Simple4Scheme(), Grid10Scheme()], ids=["simple4", "grid10"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
-    def test_non_finite_generation_argument_rejected_by_name(self, param, scheme, value):
-        with pytest.raises(ValueError, match=rf"^{param} must be finite, got {value!r}$"):
-            generate_dataset(quiet_scenario(noise_sigma=0.01), scheme, 2, seed=0, **{param: value})
+    @pytest.mark.parametrize("field", ["reflectivity", "jitter_sigma", "min_range"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_target_field_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} must be finite, got {value!r}$"):
+            Target(**{field: value})

@@ -9,7 +9,8 @@ Exit codes: 0 success, 2 configuration error (including a config whose
 scan samples leave the sample limit, or whose scans are so flat that
 standardization leaves a class fewer than two rows), 3 missing or corrupt
 input, 4 estimator failure. Code 3 covers a dataset file or report that
-is absent; for ``run``, a ``.rds`` file that is truncated, does not
+is absent, or whose path holds a directory or a file this process may not
+read; for ``run``, a ``.rds`` file that is truncated, does not
 follow the documented layout, holds a label outside its scheme, or whose
 header names another scheme, data type, scenario or bin count than its
 plan entry, a train file with fewer examples of some class than there
@@ -239,8 +240,12 @@ def cmd_generate(config: ExperimentConfig, out_dir, data_types, jobs) -> int:
 
 def _load_entry_file(path, entry):
     """The dataset at ``path``; CorruptInputError when its header names
-    another scheme, data type, scenario or bin count than ``entry``."""
-    ds = load_dataset(path)
+    another scheme, data type, scenario or bin count than ``entry``, or
+    when ``path`` is not a readable file."""
+    try:
+        ds = load_dataset(path)
+    except OSError as exc:  # a directory, or a file this process may not read
+        raise CorruptInputError(f"{path}: {exc.strerror}") from None
     planned = {
         "scheme": entry.scheme,
         "data_type": entry.data_type,
@@ -345,10 +350,13 @@ def _is_number(value) -> bool:
 
 def _load_report(path):
     """One report payload as ``run`` writes it; CorruptInputError when the
-    file does not parse or lacks a field that ``report`` reads."""
+    file does not parse or lacks a field that ``report`` reads, or when
+    ``path`` is not a readable file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
+    except OSError as exc:  # a directory, or a file this process may not read
+        raise CorruptInputError(f"{path}: {exc.strerror}") from None
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
         raise CorruptInputError(f"{path}: not valid JSON ({exc})") from None
     if not (
@@ -377,6 +385,8 @@ def cmd_report(out_dir) -> int:
         )
     except FileNotFoundError:
         raise MissingInputError(f"no reports directory at {reports_dir}") from None
+    except OSError as exc:  # a file, or a directory this process may not list
+        raise CorruptInputError(f"{reports_dir}: {exc.strerror}") from None
     if not names:
         raise MissingInputError(f"no report files in {reports_dir}")
     payloads = []

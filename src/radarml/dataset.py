@@ -17,6 +17,14 @@ Binary file layout (all integers little-endian):
     scans        float64 x (n_examples * n_bins), row-major
     labels       int64 x n_examples
 
+A load (``load_dataset`` on a file, ``dataset_from_bytes`` on a buffer)
+checks the payload size the header implies against the bytes left after
+the header before it allocates anything: too few is "truncated", too
+many "trailing bytes", and a header whose payload could not be held in
+memory even with no rows is rejected too. It then reads the scans and
+labels once, straight into the arrays it returns, so no other copy of
+the payload is held beside them.
+
 A human-readable YAML sidecar written next to each file records the
 generating configuration.
 """
@@ -26,6 +34,7 @@ from __future__ import annotations
 import io
 import os
 import struct
+import sys
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields
 from typing import Optional
@@ -145,31 +154,40 @@ def write_dataset(ds: LabeledDataset, fh, rows=None) -> None:
     fh.write(np.ascontiguousarray(ds.labels[rows], dtype="<i8"))
 
 
-def dataset_from_bytes(buf: bytes) -> LabeledDataset:
-    fh = io.BytesIO(buf)
+def _read_dataset(fh, size: int) -> LabeledDataset:
+    """The dataset in the ``size`` bytes of binary file ``fh``, read from
+    its start. The payload size the header implies is checked against the
+    file before anything is allocated; the scans and labels are then read
+    once, straight into the arrays the dataset holds."""
     if _read_exact(fh, 4) != MAGIC:
         raise DatasetFormatError("bad magic; not a dataset file")
     (version,) = struct.unpack("<I", _read_exact(fh, 4))
     if version != FORMAT_VERSION:
         raise DatasetFormatError(f"unsupported dataset format version {version}")
     n_examples, n_bins = struct.unpack("<QQ", _read_exact(fh, 16))
-    scheme = _unpack_str(fh)
-    data_type = _unpack_str(fh)
-    scenario_id = _unpack_str(fh)
-    scans = np.frombuffer(_read_exact(fh, 8 * n_examples * n_bins), dtype="<f8")
-    labels = np.frombuffer(_read_exact(fh, 8 * n_examples), dtype="<i8")
-    if fh.read(1):
+    # numpy sizes an array by each extent, so a row of n_bins must be
+    # addressable even when there are no rows
+    if 8 * max(n_examples, 1) * (n_bins + 1) > sys.maxsize:
+        raise DatasetFormatError(f"header claims {n_examples} x {n_bins} samples, more than memory can hold")
+    scheme, data_type, scenario_id = _unpack_str(fh), _unpack_str(fh), _unpack_str(fh)
+    left = size - fh.tell()
+    if left < 8 * n_examples * (n_bins + 1):
+        raise DatasetFormatError("truncated dataset file")
+    if left > 8 * n_examples * (n_bins + 1):
         raise DatasetFormatError("trailing bytes after dataset payload")
+    scans = np.empty((n_examples, n_bins), dtype="<f8")
+    labels = np.empty(n_examples, dtype="<i8")
+    for array in (scans, labels):
+        if fh.readinto(array) != array.nbytes:  # a file that shrank since it was sized
+            raise DatasetFormatError("truncated dataset file")
     try:
-        return LabeledDataset(
-            scans=scans.reshape(n_examples, n_bins).copy(),
-            labels=labels.copy(),
-            scheme=scheme,
-            data_type=data_type,
-            scenario_id=scenario_id,
-        )
+        return LabeledDataset(scans, labels, scheme, data_type, scenario_id)
     except ValueError as exc:
         raise DatasetFormatError(f"invalid dataset payload: {exc}") from None
+
+
+def dataset_from_bytes(buf: bytes) -> LabeledDataset:
+    return _read_dataset(io.BytesIO(buf), len(buf))
 
 
 @contextmanager
@@ -196,8 +214,7 @@ def load_dataset(path: str) -> LabeledDataset:
     """Read a dataset file; DatasetFormatError (naming the file) when its
     bytes do not follow the documented layout."""
     with open(path, "rb") as fh:
-        buf = fh.read()
-    try:
-        return dataset_from_bytes(buf)
-    except DatasetFormatError as exc:
-        raise DatasetFormatError(f"{path}: {exc}") from None
+        try:
+            return _read_dataset(fh, os.fstat(fh.fileno()).st_size)
+        except DatasetFormatError as exc:
+            raise DatasetFormatError(f"{path}: {exc}") from None

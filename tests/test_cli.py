@@ -574,6 +574,18 @@ class TestRun:
         assert err.count("\n") == 1
         assert err.startswith("corrupt input: ") and path in err
 
+    @pytest.mark.parametrize("role", ["train", "test"])
+    def test_directory_at_a_dataset_path_exit_code(self, cfg_path, tmp_path, capsys, role):
+        out = str(tmp_path / "out")
+        generate(cfg_path, out)
+        path = os.path.join(out, "datasets", f"outdoor-simple4-motion_filtered-{role}.rds")
+        os.remove(path)
+        os.mkdir(path)
+        capsys.readouterr()
+        assert main(["run", "--config", cfg_path, "--out", out, "--jobs", "1"]) == EXIT_MISSING
+        err = capsys.readouterr().err
+        assert err == f"corrupt input: {path}: Is a directory\n"
+
     def test_empty_test_file_exit_code(self, cfg_path, tmp_path, capsys):
         # a valid header and no rows: named as corrupt input before any fit,
         # not left to fail every estimator's refit
@@ -653,6 +665,19 @@ class TestReport:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert err.startswith("corrupt input: ") and "d.json" in err
+
+
+    def test_directory_as_a_report_exit_code(self, tmp_path, capsys):
+        reports = tmp_path / "out" / "reports"
+        (reports / "x.json").mkdir(parents=True)
+        assert main(["report", "--out", str(tmp_path / "out")]) == EXIT_MISSING
+        assert capsys.readouterr().err == f"corrupt input: {reports / 'x.json'}: Is a directory\n"
+
+    def test_file_as_the_reports_directory_exit_code(self, tmp_path, capsys):
+        (tmp_path / "out").mkdir()
+        (tmp_path / "out" / "reports").write_text("not a directory")
+        assert main(["report", "--out", str(tmp_path / "out")]) == EXIT_MISSING
+        assert capsys.readouterr().err == f"corrupt input: {tmp_path / 'out' / 'reports'}: Not a directory\n"
 
 
 class TestDeterminism:

@@ -1,11 +1,14 @@
 import io
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
+import yaml
 
-from radarml import dataset
+from radarml import cli, dataset
+from radarml.config import DEFAULT_CONFIG
 from radarml.dataset import (
     MAGIC,
     DatasetFormatError,
@@ -49,6 +52,26 @@ def small_dataset(n=6, n_bins=16, scheme="simple4"):
         scenario_id="unit",
         history=rng.normal(size=(n, 2, n_bins)),
     )
+
+
+@pytest.fixture(params=["bytes", "file"])
+def read(request, tmp_path):
+    """Parse dataset bytes with ``dataset_from_bytes``, or write them to a
+    file and read it with ``load_dataset``, whose errors name the file."""
+    if request.param == "bytes":
+        return dataset_from_bytes
+    path = str(tmp_path / "d.rds")
+
+    def read_file(buf):
+        with open(path, "wb") as fh:
+            fh.write(buf)
+        try:
+            return load_dataset(path)
+        except DatasetFormatError as exc:
+            assert str(exc).startswith(f"{path}: ")
+            raise
+
+    return read_file
 
 
 class TestContainer:
@@ -116,19 +139,19 @@ class TestValidateLabels:
     """A dataset's labels must lie in its scheme; a file that breaks that
     rule is not a dataset."""
 
-    def test_valid_dataset_passes(self):
+    def test_valid_dataset_passes(self, read):
         for ds in (small_dataset(n=8), small_dataset(n=10, scheme="grid10")):
-            back = dataset_from_bytes(dataset_to_bytes(ds))
+            back = read(dataset_to_bytes(ds))
             assert back.labels.tolist() == ds.labels.tolist()
 
-    def test_unknown_scheme_rejected(self):
+    def test_unknown_scheme_rejected(self, read):
         with pytest.raises(ValueError, match="unknown scheme 'zones'"):
             LabeledDataset(np.zeros((2, 4)), np.zeros(2, dtype=int), "zones", "raw", "x")
         buf = dataset_to_bytes(small_dataset()).replace(b"simple4", b"simple5")
         with pytest.raises(DatasetFormatError, match="unknown scheme 'simple5'"):
-            dataset_from_bytes(buf)
+            read(buf)
 
-    def test_label_out_of_range_rejected(self):
+    def test_label_out_of_range_rejected(self, read):
         for label in (-1, 4):
             with pytest.raises(ValueError, match=r"labels outside 0\.\.3 for scheme simple4"):
                 LabeledDataset(np.zeros((2, 4)), [0, label], "simple4", "raw", "x")
@@ -138,12 +161,12 @@ class TestValidateLabels:
                 )
             buf = dataset_to_bytes(small_dataset())[:-8] + struct.pack("<q", label)
             with pytest.raises(DatasetFormatError, match="labels outside"):
-                dataset_from_bytes(buf)
+                read(buf)
         # label 4 is a grid10 cell, and -1 is outside every scheme
         grid = dataset_to_bytes(small_dataset(scheme="grid10"))[:-8]
-        assert dataset_from_bytes(grid + struct.pack("<q", 4)).labels[-1] == 4
+        assert read(grid + struct.pack("<q", 4)).labels[-1] == 4
         with pytest.raises(DatasetFormatError, match=r"labels outside 0\.\.9"):
-            dataset_from_bytes(grid + struct.pack("<q", -1))
+            read(grid + struct.pack("<q", -1))
 
 
 class TestSerialization:
@@ -161,27 +184,55 @@ class TestSerialization:
         ds = small_dataset()
         assert dataset_to_bytes(ds) == dataset_to_bytes(ds)
 
-    def test_bad_magic_rejected(self):
+    def test_bad_magic_rejected(self, read):
         buf = bytearray(dataset_to_bytes(small_dataset()))
         buf[:4] = b"JUNK"
-        with pytest.raises(DatasetFormatError):
-            dataset_from_bytes(bytes(buf))
+        with pytest.raises(DatasetFormatError, match="bad magic"):
+            read(bytes(buf))
 
-    def test_bad_version_rejected(self):
+    def test_bad_version_rejected(self, read):
         buf = bytearray(dataset_to_bytes(small_dataset()))
         buf[4] = 99
-        with pytest.raises(DatasetFormatError):
-            dataset_from_bytes(bytes(buf))
+        with pytest.raises(DatasetFormatError, match="unsupported dataset format version 99"):
+            read(bytes(buf))
 
-    def test_truncation_rejected(self):
+    # within the magic, within the scenario id, mid-scans, within the labels
+    @pytest.mark.parametrize("keep", [2, 40, 400, -1])
+    def test_truncation_rejected(self, read, keep):
         buf = dataset_to_bytes(small_dataset())
-        with pytest.raises(DatasetFormatError):
-            dataset_from_bytes(buf[: len(buf) // 2])
+        with pytest.raises(DatasetFormatError, match="truncated"):
+            read(buf[:keep])
 
-    def test_trailing_bytes_rejected(self):
+    def test_trailing_bytes_rejected(self, read):
         buf = dataset_to_bytes(small_dataset())
-        with pytest.raises(DatasetFormatError):
-            dataset_from_bytes(buf + b"\x00")
+        with pytest.raises(DatasetFormatError, match="trailing bytes"):
+            read(buf + b"\x00")
+
+    def test_non_utf8_string_rejected(self, read):
+        buf = dataset_to_bytes(small_dataset()).replace(b"unit", b"\xffnit")
+        with pytest.raises(DatasetFormatError, match="header string is not UTF-8"):
+            read(buf)
+
+    def test_header_claiming_2_40_rows_fails_before_allocating(self, read):
+        # the header's payload would be 144 TB; the file holds 1 KB
+        header = documented_layout(small_dataset(n=0))
+        header = header[:8] + struct.pack("<QQ", 1 << 40, 16) + header[24:]
+        buf = header + bytes(1024 - len(header))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DatasetFormatError, match="truncated"):
+                read(buf)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("n_examples, n_bins", [(0, (1 << 64) - 1), (1 << 40, 1 << 40), (1, 1 << 60)])
+    def test_header_beyond_any_array_rejected(self, read, n_examples, n_bins):
+        header = documented_layout(small_dataset(n=0))
+        buf = header[:8] + struct.pack("<QQ", n_examples, n_bins) + header[24:]
+        with pytest.raises(DatasetFormatError, match="more than memory can hold"):
+            read(buf)
 
     def test_magic_constant(self):
         assert dataset_to_bytes(small_dataset())[:4] == MAGIC
@@ -190,16 +241,38 @@ class TestSerialization:
         ds = small_dataset()
         assert dataset_to_bytes(ds) == documented_layout(ds)
 
-    def test_invalid_payload_is_a_format_error(self):
+    def test_invalid_payload_is_a_format_error(self, read):
         # a NaN sample and an unknown data type both parse but are not a dataset
         buf = bytearray(dataset_to_bytes(small_dataset()))
         first_sample = buf.index(b"unit") + 4  # the scenario id ends the header
         buf[first_sample : first_sample + 8] = struct.pack("<d", float("nan"))
         with pytest.raises(DatasetFormatError, match="finite"):
-            dataset_from_bytes(bytes(buf))
+            read(bytes(buf))
         buf = dataset_to_bytes(small_dataset()).replace(b"baseband", b"basebanX")
         with pytest.raises(DatasetFormatError, match="data_type"):
-            dataset_from_bytes(buf)
+            read(buf)
+
+
+@pytest.fixture(scope="module")
+def plan_files(tmp_path_factory):
+    """The .rds files ``generate`` writes for one scenario, both schemes and
+    all three data types, plus a file of no rows."""
+    out = tmp_path_factory.mktemp("plan")
+    config = {
+        "seed": 3,
+        "n_per_class": 60,
+        "scenarios": {"outdoor": DEFAULT_CONFIG["scenarios"]["outdoor"]},
+        "schemes": ["simple4", "grid10"],
+        "data_types": list(dataset.DATA_TYPES),
+    }
+    (out / "cfg.yaml").write_text(yaml.safe_dump(config))
+    assert cli.main(["generate", "--config", str(out / "cfg.yaml"), "--out", str(out), "--jobs", "1"]) == 0
+    datasets = out / "datasets"
+    paths = sorted(str(datasets / n) for n in os.listdir(datasets) if n.endswith(".rds"))
+    assert len(paths) == 12
+    empty = str(out / "empty.rds")
+    save_dataset(load_dataset(paths[0]), empty, rows=np.array([], dtype=np.int64))
+    return paths + [empty]
 
 
 class TestFiles:
@@ -240,6 +313,41 @@ class TestFiles:
             fh.truncate(100)
         with pytest.raises(DatasetFormatError, match="d.rds: truncated"):
             load_dataset(path)
+
+    def test_load_equals_parsing_the_file_bytes(self, plan_files):
+        # the plan's header lengths put the payload at several offsets mod 8
+        offsets = set()
+        for path in plan_files:
+            with open(path, "rb") as fh:
+                buf = fh.read()
+            loaded, parsed = load_dataset(path), dataset_from_bytes(buf)
+            strings = (parsed.scheme, parsed.data_type, parsed.scenario_id)
+            start = 24 + sum(2 + len(s.encode("utf-8")) for s in strings)
+            offsets.add(start % 8)
+            # the payload bytes, where the layout places them
+            assert parsed.scans.tobytes() + parsed.labels.tobytes() == buf[start:]
+            for name in ("scheme", "data_type", "scenario_id", "history", "n_dropped"):
+                assert getattr(loaded, name) == getattr(parsed, name)
+            for name in ("scans", "labels"):
+                got, want = getattr(loaded, name), getattr(parsed, name)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+                assert got.flags.c_contiguous and got.flags.aligned and got.flags.writeable
+            assert loaded.scans.dtype == np.float64 and loaded.labels.dtype == np.int64
+        assert len(offsets) > 1
+
+    def test_load_holds_no_copy_of_the_payload(self, plan_files):
+        # the arrays it returns, and the finiteness scan's boolean mask (1/8)
+        path = next(p for p in plan_files if p.endswith("grid10-raw-test.rds"))
+        size = os.path.getsize(path)
+        tracemalloc.start()
+        try:
+            ds = load_dataset(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ds.scans.nbytes > 0.99 * size
+        assert peak <= 1.25 * size
 
     def test_write_atomic_leaves_no_temp_files(self, tmp_path):
         path = str(tmp_path / "blob.bin")

@@ -170,10 +170,10 @@ def _read_dataset(fh, size: int) -> LabeledDataset:
     if 8 * max(n_examples, 1) * (n_bins + 1) > sys.maxsize:
         raise DatasetFormatError(f"header claims {n_examples} x {n_bins} samples, more than memory can hold")
     scheme, data_type, scenario_id = _unpack_str(fh), _unpack_str(fh), _unpack_str(fh)
-    left = size - fh.tell()
-    if left < 8 * n_examples * (n_bins + 1):
+    left, payload = size - fh.tell(), 8 * n_examples * (n_bins + 1)
+    if left < payload:
         raise DatasetFormatError("truncated dataset file")
-    if left > 8 * n_examples * (n_bins + 1):
+    if left > payload:
         raise DatasetFormatError("trailing bytes after dataset payload")
     scans = np.empty((n_examples, n_bins), dtype="<f8")
     labels = np.empty(n_examples, dtype="<i8")

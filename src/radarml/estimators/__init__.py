@@ -3,10 +3,10 @@
 Everything is trained from scratch on numpy; no external ML library is
 involved. ``ESTIMATOR_CLASSES`` maps each kind to its class, whose
 constructor takes the kind's grid axes plus ``seed``. Every class follows
-the contract of ``base.Classifier``: ``fit`` sets ``classes_`` and
-``n_features_``, ``staged_param`` and ``n_stages`` say how many fits one
-fit holds, ``staged_predict`` predicts for each of them, and
-``fit_together`` fits several models at once.
+the contract of ``base.Classifier``: its ``fit`` sets ``classes_`` and
+``n_features_`` and calls the kind's ``_fit``, ``staged_param`` and
+``n_stages`` say how many fits one fit holds, ``staged_predict`` predicts
+for each of them, and ``fit_together`` fits several models at once.
 """
 
 from __future__ import annotations

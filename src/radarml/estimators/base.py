@@ -1,4 +1,4 @@
-"""Shared input validation, label encoding and prediction for the estimators."""
+"""What the estimators share: input checks, label encoding, softmax, fit and predict."""
 
 from __future__ import annotations
 
@@ -34,6 +34,24 @@ def encode_training_data(X, y):
     return X, codes.astype(np.int64), classes
 
 
+def positive_float(name, value) -> float:
+    """``value`` as a float, if it is positive and finite."""
+    value = float(value)
+    if not 0.0 < value < np.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+    return value
+
+
+def log_softmax_rows(Z):
+    Z = Z - Z.max(axis=1, keepdims=True)
+    return Z - np.log(np.exp(Z).sum(axis=1, keepdims=True))
+
+
+def softmax_rows(Z):
+    E = np.exp(Z - Z.max(axis=1, keepdims=True))
+    return E / E.sum(axis=1, keepdims=True)
+
+
 def check_predict_input(model, X) -> np.ndarray:
     if not hasattr(model, "classes_"):
         raise ValueError(f"{type(model).__name__} is not fitted")
@@ -48,7 +66,9 @@ def check_predict_input(model, X) -> np.ndarray:
 class Classifier:
     """What every estimator shares.
 
-    ``fit`` sets ``classes_`` and ``n_features_``. Every model is staged:
+    ``fit`` checks and encodes the training data, records ``classes_`` and
+    ``n_features_``, and fits the kind's ``_fit(X, codes)``, which sees
+    the checked ``X`` and the label codes 0..K-1. Every model is staged:
     ``_staged_codes`` yields the class codes of ``n_stages`` fits, where
     stage s is what a fit with ``staged_param`` = s would predict. A class
     without a ``staged_param`` has one stage, the codes of its
@@ -62,6 +82,17 @@ class Classifier:
     @property
     def n_stages(self) -> int:
         return 1 if self.staged_param is None else getattr(self, self.staged_param)
+
+    def fit(self, X, y):
+        self._fit(*self._encode(X, y))
+        return self
+
+    def _encode(self, X, y):
+        """Checked ``X`` and the codes of ``y``, with ``classes_`` and
+        ``n_features_`` recorded."""
+        X, codes, self.classes_ = encode_training_data(X, y)
+        self.n_features_ = X.shape[1]
+        return X, codes
 
     @staticmethod
     def fit_together(models, Xs, ys):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..seeding import seed_sequence
-from .base import Classifier, encode_training_data
+from .base import Classifier, log_softmax_rows, softmax_rows
 from .tree import CRITERIA, grow_classification, grow_extra_trees, grow_regression, presort, tree_apply
 
 
@@ -36,13 +36,10 @@ class _BaseForest(Classifier):
         self.max_features = max_features
         self.seed = int(seed)
 
-    def fit(self, X, y):
-        X, codes, self.classes_ = encode_training_data(X, y)
-        self.n_features_ = X.shape[1]
+    def _fit(self, X, codes):
         children = seed_sequence(self.seed, 0).spawn(self.n_estimators)
         rngs = [np.random.Generator(np.random.PCG64(child)) for child in children]
         self.trees_ = self._grow(X, codes, len(self.classes_), rngs)
-        return self
 
     def _predict_codes(self, X):
         return _majority_vote(self.trees_, X, len(self.classes_))
@@ -101,17 +98,12 @@ class GradientBoosting(Classifier):
 
     @staticmethod
     def _deviance(F, codes):
-        Z = F - F.max(axis=1, keepdims=True)
-        logp = Z - np.log(np.exp(Z).sum(axis=1, keepdims=True))
-        return float(-logp[np.arange(codes.size), codes].mean())
+        return float(-log_softmax_rows(F)[np.arange(codes.size), codes].mean())
 
-    def fit(self, X, y):
-        X, codes, self.classes_ = encode_training_data(X, y)
-        self.n_features_ = X.shape[1]
+    def _fit(self, X, codes):
         n = X.shape[0]
         K = len(self.classes_)
-        Y = np.zeros((n, K))
-        Y[np.arange(n), codes] = 1.0
+        Y = np.eye(K)[codes]
         priors = np.bincount(codes, minlength=K) / n
         self.init_scores_ = np.log(priors)
         F = np.tile(self.init_scores_, (n, 1))
@@ -119,10 +111,7 @@ class GradientBoosting(Classifier):
         sorted_x = presort(X)
         self.stages_ = []
         for _ in range(self.n_estimators):
-            Z = F - F.max(axis=1, keepdims=True)
-            E = np.exp(Z)
-            P = E / E.sum(axis=1, keepdims=True)
-            residual = Y - P
+            residual = Y - softmax_rows(F)
             stage = []
             for k in range(K):
                 nodes, leaf = grow_regression(sorted_x, residual[:, k], self.max_depth)
@@ -131,7 +120,6 @@ class GradientBoosting(Classifier):
             self.stages_.append(stage)
             deviances.append(self._deviance(F, codes))
         self.train_deviance_ = np.asarray(deviances)
-        return self
 
     def _staged_scores(self, X):
         """Scores after each stage, as one array updated in place between

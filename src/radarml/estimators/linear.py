@@ -6,18 +6,22 @@ negative log-likelihood plus (1/(2C))||W||^2 and exposes three solvers
 that share one convergence rule: max|grad| < tol on this objective.
 Each fit records ``n_iter_``, ``converged_`` and ``grad_norm_`` (the
 max|grad| where it stopped), so a fit that ran out of iterations or whose
-line search failed says so, and by how much. ``sag`` steps on rows whose
-bias column is ``_SAG_BIAS_SCALE`` instead of 1: the bias is unpenalized,
-so that reparametrizes the same objective, and ``sag`` tests its stopping
-rule and returns its bias in the original coordinates.
+line search failed says so, and by how much. ``lbfgs`` and ``newton-cg``
+share one line-search loop, ``_descend``, and differ only in the
+direction each proposes. ``sag`` steps on rows whose bias column is
+``_SAG_BIAS_SCALE`` instead of 1: the bias is unpenalized, so that
+reparametrizes the same objective, and ``sag`` tests its stopping rule
+and returns its bias in the original coordinates.
 """
 
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
 
 from ..seeding import make_rng
-from .base import Classifier, encode_training_data
+from .base import Classifier, log_softmax_rows, positive_float, softmax_rows
 
 _LBFGS_MEMORY = 10
 _ARMIJO_C1 = 1e-4
@@ -37,12 +41,6 @@ def _augment(X):
     return np.hstack([X, np.ones((X.shape[0], 1))])
 
 
-def _softmax_rows(Z):
-    Z = Z - Z.max(axis=1, keepdims=True)
-    E = np.exp(Z)
-    return E / E.sum(axis=1, keepdims=True)
-
-
 def _max_abs(g):
     return float(np.max(np.abs(g)))
 
@@ -50,42 +48,32 @@ def _max_abs(g):
 def _nll_loss_grad(theta, Xa, Y, lam):
     """Penalized mean NLL and its gradient; theta is (K, d+1)."""
     n = Xa.shape[0]
-    Z = Xa @ theta.T
-    Z = Z - Z.max(axis=1, keepdims=True)
-    logsum = np.log(np.exp(Z).sum(axis=1, keepdims=True))
-    logp = Z - logsum
+    logp = log_softmax_rows(Xa @ theta.T)
     nll = -np.sum(logp * Y) / n
     P = np.exp(logp)
     G = (P - Y).T @ Xa / n
     W = theta.copy()
     W[:, -1] = 0.0
-    loss = nll + 0.5 * lam * np.sum(W * W)
-    grad = G + lam * W
-    return loss, grad
+    return nll + 0.5 * lam * np.sum(W * W), G + lam * W
 
 
-def _solve_lbfgs(Xa, Y, lam, tol, max_iter):
-    K = Y.shape[1]
-    d1 = Xa.shape[1]
-    theta = np.zeros((K, d1))
+def _descend(Xa, Y, lam, tol, max_iter, direction):
+    """Line-search descent on the objective from theta = 0.
+
+    Each iteration stops converged once max|grad| < tol, else takes the
+    step ``direction(theta, g, gnorm)`` proposes, steepest descent where
+    that does not descend, backtracked by halving from 1 until the Armijo
+    condition holds (Nocedal & Wright, Numerical Optimization, 2006, ch. 3).
+    If ``_MAX_HALVINGS`` halvings fail the fit stops unconverged. Returns
+    (theta, iterations, converged, max|grad|).
+    """
+    theta = np.zeros((Y.shape[1], Xa.shape[1]))
     f, g = _nll_loss_grad(theta, Xa, Y, lam)
-    s_hist, y_hist, rho_hist = [], [], []
     for it in range(max_iter):
         gnorm = _max_abs(g)
         if gnorm < tol:
             return theta, it, True, gnorm
-        q = g.reshape(-1).copy()
-        alphas = []
-        for s, yv, rho in zip(reversed(s_hist), reversed(y_hist), reversed(rho_hist)):
-            a = rho * s.dot(q)
-            alphas.append(a)
-            q -= a * yv
-        if y_hist:
-            q *= s_hist[-1].dot(y_hist[-1]) / y_hist[-1].dot(y_hist[-1])
-        for (s, yv, rho), a in zip(zip(s_hist, y_hist, rho_hist), reversed(alphas)):
-            b = rho * yv.dot(q)
-            q += (a - b) * s
-        p = -q.reshape(theta.shape)
+        p = direction(theta, g, gnorm)
         gTp = float(np.sum(g * p))
         if gTp >= 0.0:  # rounding broke descent; fall back to steepest
             p = -g
@@ -99,20 +87,41 @@ def _solve_lbfgs(Xa, Y, lam, tol, max_iter):
             step *= 0.5
         else:
             return theta, it, False, gnorm  # line search failed
-        s_vec = (theta_new - theta).reshape(-1)
-        y_vec = (g_new - g).reshape(-1)
-        sy = s_vec.dot(y_vec)
-        if sy > 1e-10:
-            s_hist.append(s_vec)
-            y_hist.append(y_vec)
-            rho_hist.append(1.0 / sy)
-            if len(s_hist) > _LBFGS_MEMORY:
-                s_hist.pop(0)
-                y_hist.pop(0)
-                rho_hist.pop(0)
         theta, f, g = theta_new, f_new, g_new
     gnorm = _max_abs(g)
     return theta, max_iter, gnorm < tol, gnorm
+
+
+def _solve_lbfgs(Xa, Y, lam, tol, max_iter):
+    """``_descend`` along the L-BFGS two-loop direction, whose (s, y) pairs
+    are the differences of consecutive iterates and their gradients."""
+    hist = deque(maxlen=_LBFGS_MEMORY)  # (s, y, 1 / s.y), oldest first
+    prev = None  # the previous iterate and its gradient
+
+    def direction(theta, g, gnorm):
+        nonlocal prev
+        if prev is not None:
+            s_vec = (theta - prev[0]).reshape(-1)
+            y_vec = (g - prev[1]).reshape(-1)
+            sy = s_vec.dot(y_vec)
+            if sy > 1e-10:
+                hist.append((s_vec, y_vec, 1.0 / sy))
+        prev = theta, g
+        q = g.reshape(-1).copy()
+        alphas = []
+        for s, yv, rho in reversed(hist):
+            a = rho * s.dot(q)
+            alphas.append(a)
+            q -= a * yv
+        if hist:
+            s, yv, _ = hist[-1]
+            q *= s.dot(yv) / yv.dot(yv)
+        for (s, yv, rho), a in zip(hist, reversed(alphas)):
+            b = rho * yv.dot(q)
+            q += (a - b) * s
+        return -q.reshape(theta.shape)
+
+    return _descend(Xa, Y, lam, tol, max_iter, direction)
 
 
 def _solve_sag(Xa, Y, lam, tol, max_iter, seed):
@@ -194,15 +203,12 @@ def _cg(apply_h, b, tol, max_iter):
 
 
 def _solve_newton_cg(Xa, Y, lam, tol, max_iter):
+    """``_descend`` along a truncated-CG Newton step."""
     n, d1 = Xa.shape
     K = Y.shape[1]
-    theta = np.zeros((K, d1))
-    f, g = _nll_loss_grad(theta, Xa, Y, lam)
-    for it in range(max_iter):
-        gnorm = _max_abs(g)
-        if gnorm < tol:
-            return theta, it, True, gnorm
-        P = _softmax_rows(Xa @ theta.T)
+
+    def direction(theta, g, gnorm):
+        P = softmax_rows(Xa @ theta.T)
 
         def apply_h(v_flat):
             V = v_flat.reshape(K, d1)
@@ -217,35 +223,16 @@ def _solve_newton_cg(Xa, Y, lam, tol, max_iter):
         # inexact Newton forcing term keeps early iterations cheap
         cg_tol = min(0.5, np.sqrt(gnorm)) * np.linalg.norm(b)
         p = _cg(apply_h, b, cg_tol, max_iter=250)
-        if not np.any(p):
-            p = b
-        P_dir = p.reshape(theta.shape)
-        gTp = float(np.sum(g * P_dir))
-        if gTp >= 0.0:
-            P_dir = -g
-            gTp = -float(np.sum(g * g))
-        step = 1.0
-        for _ in range(_MAX_HALVINGS):
-            theta_new = theta + step * P_dir
-            f_new, g_new = _nll_loss_grad(theta_new, Xa, Y, lam)
-            if f_new <= f + _ARMIJO_C1 * step * gTp:
-                break
-            step *= 0.5
-        else:
-            return theta, it, False, gnorm  # line search failed
-        theta, f, g = theta_new, f_new, g_new
-    gnorm = _max_abs(g)
-    return theta, max_iter, gnorm < tol, gnorm
+        return (p if np.any(p) else b).reshape(theta.shape)
+
+    return _descend(Xa, Y, lam, tol, max_iter, direction)
 
 
 class _LinearClassifier(Classifier):
     """Scores ``X @ coef_.T + intercept_``, one column per class."""
 
-    def _scores(self, X):
-        return X @ self.coef_.T + self.intercept_
-
     def _predict_codes(self, X):
-        return np.argmax(self._scores(X), axis=1)
+        return np.argmax(X @ self.coef_.T + self.intercept_, axis=1)
 
 
 class LogisticRegression(_LinearClassifier):
@@ -258,22 +245,16 @@ class LogisticRegression(_LinearClassifier):
     kind = "logistic_regression"
 
     def __init__(self, C=1.0, solver="lbfgs", tol=1e-5, max_iter=500, seed=0):
-        if C <= 0:
-            raise ValueError("C must be positive")
         if solver not in SOLVERS:
             raise ValueError(f"unknown solver {solver!r}; expected one of {SOLVERS}")
-        self.C = float(C)
+        self.C = positive_float("C", C)
         self.solver = solver
-        self.tol = float(tol)
+        self.tol = positive_float("tol", tol)
         self.max_iter = int(max_iter)
         self.seed = int(seed)
 
-    def fit(self, X, y):
-        X, codes, self.classes_ = encode_training_data(X, y)
-        self.n_features_ = X.shape[1]
-        K = len(self.classes_)
-        Y = np.zeros((X.shape[0], K))
-        Y[np.arange(X.shape[0]), codes] = 1.0
+    def _fit(self, X, codes):
+        Y = np.eye(len(self.classes_))[codes]
         Xa = _augment(X)
         lam = 1.0 / self.C
         if self.solver == "lbfgs":
@@ -285,30 +266,26 @@ class LogisticRegression(_LinearClassifier):
         theta, self.n_iter_, self.converged_, self.grad_norm_ = solved
         self.coef_ = theta[:, :-1]
         self.intercept_ = theta[:, -1]
-        return self
 
 
-def _perceptron_lockstep(fits, lr, decay):
+def _perceptron_lockstep(fits, lr, alpha):
     """Run the perceptron epochs of several ``(model, X, codes)`` fits at once.
 
     The fits share their number of classes and features, ``lr`` and
-    ``decay``. Step s of an epoch decays, scores and corrects every fit that
+    ``alpha``. Step s of an epoch decays, scores and corrects every fit that
     is still running and has more than s rows, each at the s-th row of its
     own visit order, so each fit does the arithmetic of a lone fit. Stacked
     (fit, class, feature) weights turn a step's decay and matvec into one
     numpy call each, and its corrections into one scatter.
     """
+    decay = 1.0 - lr * alpha
     # longest first, so the fits with more than s rows are a prefix
     fits = sorted(fits, key=lambda fit: -fit[1].shape[0])
     models = [model for model, _, _ in fits]
     F, K, d = len(fits), len(models[0].classes_), fits[0][1].shape[1]
     sizes = np.array([X.shape[0] for _, X, _ in fits])
     max_epochs = np.array([model.max_epochs for model in models])
-    targets = []
-    for _, X, codes in fits:
-        T = np.full((codes.size, K), -1.0)
-        T[np.arange(codes.size), codes] = 1.0
-        targets.append(T)
+    targets = [2.0 * np.eye(K)[codes] - 1.0 for _, _, codes in fits]
     rngs = [make_rng(model.seed, 0) for model in models]
     W = np.zeros((F, K, d))
     b = np.zeros((F, K))
@@ -382,18 +359,17 @@ class Perceptron(_LinearClassifier):
     kind = "perceptron"
 
     def __init__(self, alpha=0.0001, lr=1.0, max_epochs=100, seed=0):
-        if alpha < 0:
-            raise ValueError("alpha must be nonnegative")
-        if lr * alpha > 1:
-            raise ValueError("lr * alpha must not exceed 1")
+        if not 0.0 <= alpha < np.inf:
+            raise ValueError(f"alpha must be nonnegative and finite, got {alpha}")
         self.alpha = float(alpha)
-        self.lr = float(lr)
+        self.lr = positive_float("lr", lr)
+        if self.lr * self.alpha > 1:
+            raise ValueError("lr * alpha must not exceed 1")
         self.max_epochs = int(max_epochs)
         self.seed = int(seed)
 
-    def fit(self, X, y):
-        self.fit_together([self], [X], [y])
-        return self
+    def _fit(self, X, codes):
+        _perceptron_lockstep([(self, X, codes)], self.lr, self.alpha)
 
     @staticmethod
     def fit_together(models, Xs, ys):
@@ -401,17 +377,16 @@ class Perceptron(_LinearClassifier):
         own ``fit`` would, stepping fits that share their shape, ``lr``
         and ``alpha`` in lockstep.
 
-        Cross-validation fits its folds through this; ``fit`` is the
+        Cross-validation fits its folds through this; ``_fit`` is the
         one-fit case.
         """
         groups = {}
         for model, X, y in zip(models, Xs, ys):
-            X, codes, model.classes_ = encode_training_data(X, y)
-            model.n_features_ = X.shape[1]
-            key = (len(model.classes_), X.shape[1], model.lr, 1.0 - model.lr * model.alpha)
+            X, codes = model._encode(X, y)
+            key = (len(model.classes_), X.shape[1], model.lr, model.alpha)
             groups.setdefault(key, []).append((model, X, codes))
-        for (_, _, lr, decay), fits in groups.items():
-            _perceptron_lockstep(fits, lr, decay)
+        for (_, _, lr, alpha), fits in groups.items():
+            _perceptron_lockstep(fits, lr, alpha)
 
 
 class LinearSVC(_LinearClassifier):
@@ -425,19 +400,14 @@ class LinearSVC(_LinearClassifier):
     kind = "linear_svc"
 
     def __init__(self, C=1.0, max_epochs=200, seed=0):
-        if C <= 0:
-            raise ValueError("C must be positive")
-        self.C = float(C)
+        self.C = positive_float("C", C)
         self.max_epochs = int(max_epochs)
         self.seed = int(seed)  # unused; kept for a uniform constructor surface
 
-    def fit(self, X, y):
-        X, codes, self.classes_ = encode_training_data(X, y)
-        self.n_features_ = X.shape[1]
+    def _fit(self, X, codes):
         n, d = X.shape
         K = len(self.classes_)
-        T = np.full((n, K), -1.0)
-        T[np.arange(n), codes] = 1.0
+        T = 2.0 * np.eye(K)[codes] - 1.0
         W = np.zeros((K, d))
         b = np.zeros(K)
         lam = 1.0 / self.C
@@ -452,4 +422,3 @@ class LinearSVC(_LinearClassifier):
             b -= step * grad_b
         self.coef_ = W
         self.intercept_ = b
-        return self

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import Classifier, encode_training_data
+from .base import Classifier
 
 # Elements of the largest temporary of one block: the (rows, n_train)
 # screen matrices and the (pairs, n_features) differences of the exact
@@ -73,16 +73,11 @@ class KNearestNeighbors(Classifier):
         self.n_neighbors = int(n_neighbors)
         self.seed = int(seed)  # unused; kept for a uniform constructor surface
 
-    def fit(self, X, y):
-        X, codes, self.classes_ = encode_training_data(X, y)
+    def _fit(self, X, codes):
         if self.n_neighbors > X.shape[0]:
-            raise ValueError(
-                f"n_neighbors={self.n_neighbors} exceeds {X.shape[0]} training examples"
-            )
+            raise ValueError(f"n_neighbors={self.n_neighbors} exceeds {X.shape[0]} training examples")
         self._X = X
         self._codes = codes
-        self.n_features_ = X.shape[1]
-        return self
 
     def _nearest(self, X):
         """(rows, nearest) per block of rows of ``X``: ``nearest[i]`` holds

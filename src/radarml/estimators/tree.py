@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .base import Classifier, encode_training_data
+from .base import Classifier
 
 CRITERIA = ("gini", "entropy")
 MAX_FEATURES = ("auto", "sqrt", "log2")
@@ -637,13 +637,10 @@ class DecisionTree(Classifier):
         self.seed = int(seed)
         self.max_depth = max_depth
 
-    def fit(self, X, y):
-        X, codes, self.classes_ = encode_training_data(X, y)
-        self.n_features_ = X.shape[1]
+    def _fit(self, X, codes):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(self.seed)))
         K = len(self.classes_)
         self.nodes_ = grow_classification(X, codes, K, self.criterion, self.max_features, self.max_depth, rng)
-        return self
 
     def _predict_codes(self, X):
         return tree_apply(self.nodes_, X).astype(np.int64)

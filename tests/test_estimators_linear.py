@@ -85,6 +85,9 @@ class TestLogisticRegression:
             LogisticRegression(C=0.0)
         with pytest.raises(ValueError):
             LogisticRegression(solver="adam")
+        for name, value in (("C", np.nan), ("C", np.inf), ("C", -1.0), ("tol", np.nan), ("tol", np.inf), ("tol", 0.0)):
+            with pytest.raises(ValueError, match=f"^{name} must be positive and finite"):
+                LogisticRegression(**{name: value})
 
 
 class TestSagBiasScale:
@@ -165,6 +168,17 @@ class TestPerceptron:
         with pytest.raises(ValueError):
             Perceptron(alpha=-0.1)
 
+    def test_non_finite_alpha_rejected(self):
+        # a NaN alpha used to leave NaN weights and report converged_
+        for alpha in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="^alpha must be nonnegative and finite"):
+                Perceptron(alpha=alpha)
+
+    def test_lr_must_be_positive_and_finite(self):
+        for lr in (np.nan, np.inf, -1.0, 0.0):
+            with pytest.raises(ValueError, match="^lr must be positive and finite"):
+                Perceptron(lr=lr)
+
     def test_excessive_decay_rejected(self):
         # by the constructor, so no fit can set classes_ and then reject
         # its model, which would leave it half fitted
@@ -206,6 +220,9 @@ class TestLinearSVC:
     def test_bad_c_rejected(self):
         with pytest.raises(ValueError):
             LinearSVC(C=-1.0)
+        for C in (np.nan, np.inf, 0.0):
+            with pytest.raises(ValueError, match="^C must be positive and finite"):
+                LinearSVC(C=C)
 
 
 class TestFitsSayHowTheyEnded:

@@ -3,8 +3,8 @@ import inspect
 import numpy as np
 import pytest
 
-from radarml.estimators import ESTIMATOR_CLASSES, GRID_AXES, KINDS, accuracy_percent
-from radarml.estimators.base import check_matrix, encode_training_data
+from radarml.estimators import ESTIMATOR_CLASSES, GRID_AXES, KINDS, accuracy_percent, grid_candidates
+from radarml.estimators.base import Classifier, check_matrix, encode_training_data
 from radarml.modelsel import cross_val_scores, stratified_kfold
 from radarml.seeding import derive_seed
 
@@ -37,6 +37,20 @@ class TestRegistry:
     def test_constructor_takes_seed_and_every_grid_axis(self, kind):
         params = inspect.signature(ESTIMATOR_CLASSES[kind]).parameters
         assert {"seed", *(name for name, _ in GRID_AXES[kind])} <= set(params)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_every_grid_candidate_constructs(self, kind):
+        for params in grid_candidates(kind):
+            ESTIMATOR_CLASSES[kind](**params, seed=1)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_fit_is_the_shared_one_around_a_kind_specific_fit(self, kind):
+        # Classifier.fit alone encodes the labels and records classes_ and
+        # n_features_; each kind only supplies _fit(X, codes)
+        cls = ESTIMATOR_CLASSES[kind]
+        assert cls.fit is Classifier.fit
+        own = cls.__mro__[: cls.__mro__.index(Classifier)]
+        assert any("_fit" in vars(c) for c in own)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_predict_before_fit_rejected(self, kind):

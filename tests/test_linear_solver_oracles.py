@@ -1,25 +1,36 @@
-"""Bit-exact checks of the per-sample linear solvers against plain loops.
+"""Bit-exact checks of the linear solvers against plain loops.
 
 ``oracle_sag`` and ``oracle_perceptron`` are the straightforward one-step-
 at-a-time forms of the two solvers, kept here as references: the SAG step
 kernel works in preallocated buffers and the perceptron steps several fits
 in lockstep, and both must give the same coefficient bytes as these loops.
 ``oracle_sag`` steps on a scaled bias column as the solver does.
+``oracle_lbfgs`` and ``oracle_newton_cg`` are the two line-search solvers,
+each with its own copy of the descent loop, which the solvers now share.
 """
 
 import numpy as np
 import pytest
 
-from radarml.estimators import accuracy_percent
+from radarml.config import parse_config
+from radarml.estimators import accuracy_percent, grid_candidates
 from radarml.estimators.linear import (
+    _ARMIJO_C1,
+    _LBFGS_MEMORY,
+    _MAX_HALVINGS,
     _SAG_BIAS_SCALE,
     LogisticRegression,
     Perceptron,
     _augment,
+    _cg,
+    _max_abs,
     _nll_loss_grad,
 )
+from radarml.labeling import SCHEMES
 from radarml.modelsel import cross_val_scores, grid_search, stratified_kfold
 from radarml.seeding import derive_seed, make_rng
+from radarml.sigproc import derive_dataset, standardize_dataset
+from radarml.synth import generate_dataset
 
 
 def oracle_sag(Xa, Y, lam, tol, max_iter, seed):
@@ -61,6 +72,109 @@ def oracle_sag(Xa, Y, lam, tol, max_iter, seed):
         if np.max(np.abs(g)) < tol:
             break
     return unscaled(theta)
+
+
+def oracle_lbfgs(Xa, Y, lam, tol, max_iter):
+    """L-BFGS with Armijo backtracking; returns (theta, iterations,
+    converged, max|grad|)."""
+    K = Y.shape[1]
+    d1 = Xa.shape[1]
+    theta = np.zeros((K, d1))
+    f, g = _nll_loss_grad(theta, Xa, Y, lam)
+    s_hist, y_hist, rho_hist = [], [], []
+    for it in range(max_iter):
+        gnorm = _max_abs(g)
+        if gnorm < tol:
+            return theta, it, True, gnorm
+        q = g.reshape(-1).copy()
+        alphas = []
+        for s, yv, rho in zip(reversed(s_hist), reversed(y_hist), reversed(rho_hist)):
+            a = rho * s.dot(q)
+            alphas.append(a)
+            q -= a * yv
+        if y_hist:
+            q *= s_hist[-1].dot(y_hist[-1]) / y_hist[-1].dot(y_hist[-1])
+        for (s, yv, rho), a in zip(zip(s_hist, y_hist, rho_hist), reversed(alphas)):
+            b = rho * yv.dot(q)
+            q += (a - b) * s
+        p = -q.reshape(theta.shape)
+        gTp = float(np.sum(g * p))
+        if gTp >= 0.0:  # rounding broke descent; fall back to steepest
+            p = -g
+            gTp = -float(np.sum(g * g))
+        step = 1.0
+        for _ in range(_MAX_HALVINGS):
+            theta_new = theta + step * p
+            f_new, g_new = _nll_loss_grad(theta_new, Xa, Y, lam)
+            if f_new <= f + _ARMIJO_C1 * step * gTp:
+                break
+            step *= 0.5
+        else:
+            return theta, it, False, gnorm  # line search failed
+        s_vec = (theta_new - theta).reshape(-1)
+        y_vec = (g_new - g).reshape(-1)
+        sy = s_vec.dot(y_vec)
+        if sy > 1e-10:
+            s_hist.append(s_vec)
+            y_hist.append(y_vec)
+            rho_hist.append(1.0 / sy)
+            if len(s_hist) > _LBFGS_MEMORY:
+                s_hist.pop(0)
+                y_hist.pop(0)
+                rho_hist.pop(0)
+        theta, f, g = theta_new, f_new, g_new
+    gnorm = _max_abs(g)
+    return theta, max_iter, gnorm < tol, gnorm
+
+
+def oracle_newton_cg(Xa, Y, lam, tol, max_iter):
+    """Truncated Newton with Armijo backtracking; returns (theta,
+    iterations, converged, max|grad|)."""
+    n, d1 = Xa.shape
+    K = Y.shape[1]
+    theta = np.zeros((K, d1))
+    f, g = _nll_loss_grad(theta, Xa, Y, lam)
+    for it in range(max_iter):
+        gnorm = _max_abs(g)
+        if gnorm < tol:
+            return theta, it, True, gnorm
+        Z = Xa @ theta.T
+        Z = Z - Z.max(axis=1, keepdims=True)
+        E = np.exp(Z)
+        P = E / E.sum(axis=1, keepdims=True)
+
+        def apply_h(v_flat):
+            V = v_flat.reshape(K, d1)
+            A = Xa @ V.T  # (n, K)
+            M = P * (A - np.sum(P * A, axis=1, keepdims=True))
+            HV = M.T @ Xa / n
+            R = V.copy()
+            R[:, -1] = 0.0
+            return (HV + lam * R).reshape(-1)
+
+        b = -g.reshape(-1)
+        # inexact Newton forcing term keeps early iterations cheap
+        cg_tol = min(0.5, np.sqrt(gnorm)) * np.linalg.norm(b)
+        p = _cg(apply_h, b, cg_tol, max_iter=250)
+        if not np.any(p):
+            p = b
+        P_dir = p.reshape(theta.shape)
+        gTp = float(np.sum(g * P_dir))
+        if gTp >= 0.0:
+            P_dir = -g
+            gTp = -float(np.sum(g * g))
+        step = 1.0
+        for _ in range(_MAX_HALVINGS):
+            theta_new = theta + step * P_dir
+            f_new, g_new = _nll_loss_grad(theta_new, Xa, Y, lam)
+            if f_new <= f + _ARMIJO_C1 * step * gTp:
+                break
+            step *= 0.5
+        else:
+            return theta, it, False, gnorm  # line search failed
+        theta, f, g = theta_new, f_new, g_new
+    gnorm = _max_abs(g)
+    return theta, max_iter, gnorm < tol, gnorm
 
 
 def oracle_perceptron(X, y, alpha, lr, max_epochs, seed):
@@ -196,3 +310,35 @@ class TestPerceptronMatchesOracle:
                 want.append(accuracy_percent(y[va], model.predict(X[va])))
             assert result.candidates[ci].scores == tuple(want)
             assert cross_val_scores("perceptron", params, X, y, folds, seed=cv_seed) == [tuple(want)]
+
+
+def radar_matrix(scheme, data_type):
+    """A standardized outdoor radar dataset of 80 scans, 20 per class of
+    simple4 and 8 of grid10, so the 28 fits on it take seconds."""
+    (scenario,) = [s for s in parse_config({}).scenarios if s.scenario_id == "outdoor"]
+    raw = generate_dataset(scenario, SCHEMES[scheme], 80 // SCHEMES[scheme].n_classes, seed=3)
+    ds = standardize_dataset(derive_dataset(raw, data_type))
+    return ds.scans, ds.labels
+
+
+ORACLES = {"lbfgs": oracle_lbfgs, "newton-cg": oracle_newton_cg}
+GRID_C = sorted({params["C"] for params in grid_candidates("logistic_regression")})
+
+
+class TestLineSearchSolversMatchOracles:
+    @pytest.mark.parametrize("scheme", sorted(SCHEMES))
+    @pytest.mark.parametrize("data_type", ["motion_filtered", "raw"])
+    def test_every_grid_c(self, scheme, data_type):
+        X, y = radar_matrix(scheme, data_type)
+        classes, codes = np.unique(y, return_inverse=True)
+        Xa, Y = _augment(X), np.eye(classes.size)[codes]
+        capped = 0
+        for solver, oracle in ORACLES.items():
+            for C in GRID_C:
+                model = LogisticRegression(C=C, solver=solver).fit(X, y)
+                theta, n_iter, converged, grad_norm = oracle(Xa, Y, 1.0 / C, model.tol, model.max_iter)
+                assert same_bytes(model, theta[:, :-1], theta[:, -1]), (solver, C)
+                assert (model.n_iter_, model.converged_) == (n_iter, converged), (solver, C)
+                assert model.grad_norm_ == grad_norm, (solver, C)
+                capped += model.n_iter_ == model.max_iter
+        assert capped > 0  # some fits run out of iterations

@@ -213,16 +213,6 @@ def parse_config(raw) -> ExperimentConfig:
             f"(indoor min {min(indoor_clutter)}, outdoor max {max(outdoor_clutter)})"
         )
 
-    schemes = _string_list(merged["schemes"], SCHEMES, "schemes")
-    for sc in scenarios:
-        for kind in schemes:
-            reach = SCHEMES[kind].max_range
-            if sc.window_m <= reach:
-                raise ConfigError(
-                    f"scenarios.{sc.scenario_id}: the {sc.window_m:.3f} m scan window does "
-                    f"not reach the farthest {kind} target, at {reach:.3f} m"
-                )
-
     return ExperimentConfig(
         seed=seed,
         n_per_class=n_per_class,
@@ -230,7 +220,7 @@ def parse_config(raw) -> ExperimentConfig:
         n_folds=n_folds,
         target=target,
         scenarios=scenarios,
-        schemes=schemes,
+        schemes=_string_list(merged["schemes"], SCHEMES, "schemes"),
         data_types=_string_list(merged["data_types"], DATA_TYPES, "data_types"),
         estimators=_string_list(merged["estimators"], KINDS, "estimators"),
     )

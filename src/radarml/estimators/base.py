@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 
 
@@ -32,6 +34,14 @@ def encode_training_data(X, y):
     if classes.size < 2:
         raise ValueError("training data must contain at least two classes")
     return X, codes.astype(np.int64), classes
+
+
+def positive_int(name, value) -> int:
+    """``value`` as an int, if it is at least 1."""
+    value = int(value)
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+    return value
 
 
 def positive_float(name, value) -> float:
@@ -68,13 +78,14 @@ class Classifier:
 
     ``fit`` checks and encodes the training data, records ``classes_`` and
     ``n_features_``, and fits the kind's ``_fit(X, codes)``, which sees
-    the checked ``X`` and the label codes 0..K-1. Every model is staged:
-    ``_staged_codes`` yields the class codes of ``n_stages`` fits, where
-    stage s is what a fit with ``staged_param`` = s would predict. A class
-    without a ``staged_param`` has one stage, the codes of its
-    ``_predict_codes``. ``fit_together`` fits several models, each on its
-    own data, as their own ``fit`` would; cross-validation fits its folds
-    through it.
+    the checked ``X`` and the label codes 0..K-1. A fit that raises
+    leaves the model unfitted, whatever an earlier fit recorded. Every
+    model is staged: ``_staged_codes`` yields the class codes of
+    ``n_stages`` fits, where stage s is what a fit with ``staged_param``
+    = s would predict. A class without a ``staged_param`` has one stage,
+    the codes of its ``_predict_codes``. ``fit_together`` fits several
+    models, each on its own data, as their own ``fit`` would;
+    cross-validation fits its folds through it.
     """
 
     staged_param = None
@@ -84,8 +95,19 @@ class Classifier:
         return 1 if self.staged_param is None else getattr(self, self.staged_param)
 
     def fit(self, X, y):
-        self._fit(*self._encode(X, y))
+        try:
+            self._fit(*self._encode(X, y))
+        except BaseException:
+            self._unfit()
+            raise
         return self
+
+    def _unfit(self):
+        """Drop what a fit recorded: every attribute but the constructor's
+        parameters, so a fit that raised leaves the model unfitted."""
+        params = inspect.signature(type(self)).parameters
+        for name in [name for name in vars(self) if name not in params]:
+            delattr(self, name)
 
     def _encode(self, X, y):
         """Checked ``X`` and the codes of ``y``, with ``classes_`` and

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..seeding import seed_sequence
-from .base import Classifier, log_softmax_rows, softmax_rows
+from .base import Classifier, log_softmax_rows, positive_int, softmax_rows
 from .tree import CRITERIA, grow_classification, grow_extra_trees, grow_regression, presort, tree_apply
 
 
@@ -27,11 +27,9 @@ def _majority_vote(trees, X, n_classes):
 
 class _BaseForest(Classifier):
     def __init__(self, n_estimators=16, criterion="gini", max_features="auto", seed=0):
-        if int(n_estimators) < 1:
-            raise ValueError("n_estimators must be >= 1")
+        self.n_estimators = positive_int("n_estimators", n_estimators)
         if criterion not in CRITERIA:
             raise ValueError(f"unknown criterion {criterion!r}")
-        self.n_estimators = int(n_estimators)
         self.criterion = criterion
         self.max_features = max_features
         self.seed = int(seed)
@@ -85,15 +83,11 @@ class GradientBoosting(Classifier):
     staged_param = "n_estimators"
 
     def __init__(self, n_estimators=16, learning_rate=0.5, max_depth=3, seed=0):
-        if int(n_estimators) < 1:
-            raise ValueError("n_estimators must be >= 1")
+        self.n_estimators = positive_int("n_estimators", n_estimators)
         if not 0.0 < learning_rate <= 1.0:
             raise ValueError("learning_rate must lie in (0, 1]")
-        if int(max_depth) < 1:
-            raise ValueError("max_depth must be >= 1")
-        self.n_estimators = int(n_estimators)
         self.learning_rate = float(learning_rate)
-        self.max_depth = int(max_depth)
+        self.max_depth = positive_int("max_depth", max_depth)
         self.seed = int(seed)  # unused; growth is exhaustive and deterministic
 
     @staticmethod

@@ -21,7 +21,7 @@ from collections import deque
 import numpy as np
 
 from ..seeding import make_rng
-from .base import Classifier, log_softmax_rows, positive_float, softmax_rows
+from .base import Classifier, log_softmax_rows, positive_float, positive_int, softmax_rows
 
 _LBFGS_MEMORY = 10
 _ARMIJO_C1 = 1e-4
@@ -250,7 +250,7 @@ class LogisticRegression(_LinearClassifier):
         self.C = positive_float("C", C)
         self.solver = solver
         self.tol = positive_float("tol", tol)
-        self.max_iter = int(max_iter)
+        self.max_iter = positive_int("max_iter", max_iter)
         self.seed = int(seed)
 
     def _fit(self, X, codes):
@@ -365,7 +365,7 @@ class Perceptron(_LinearClassifier):
         self.lr = positive_float("lr", lr)
         if self.lr * self.alpha > 1:
             raise ValueError("lr * alpha must not exceed 1")
-        self.max_epochs = int(max_epochs)
+        self.max_epochs = positive_int("max_epochs", max_epochs)
         self.seed = int(seed)
 
     def _fit(self, X, codes):
@@ -378,15 +378,20 @@ class Perceptron(_LinearClassifier):
         and ``alpha`` in lockstep.
 
         Cross-validation fits its folds through this; ``_fit`` is the
-        one-fit case.
+        one-fit case. If it raises, it leaves every model unfitted.
         """
         groups = {}
-        for model, X, y in zip(models, Xs, ys):
-            X, codes = model._encode(X, y)
-            key = (len(model.classes_), X.shape[1], model.lr, model.alpha)
-            groups.setdefault(key, []).append((model, X, codes))
-        for (_, _, lr, alpha), fits in groups.items():
-            _perceptron_lockstep(fits, lr, alpha)
+        try:
+            for model, X, y in zip(models, Xs, ys):
+                X, codes = model._encode(X, y)
+                key = (len(model.classes_), X.shape[1], model.lr, model.alpha)
+                groups.setdefault(key, []).append((model, X, codes))
+            for (_, _, lr, alpha), fits in groups.items():
+                _perceptron_lockstep(fits, lr, alpha)
+        except BaseException:
+            for model in models:
+                model._unfit()
+            raise
 
 
 class LinearSVC(_LinearClassifier):
@@ -401,7 +406,7 @@ class LinearSVC(_LinearClassifier):
 
     def __init__(self, C=1.0, max_epochs=200, seed=0):
         self.C = positive_float("C", C)
-        self.max_epochs = int(max_epochs)
+        self.max_epochs = positive_int("max_epochs", max_epochs)
         self.seed = int(seed)  # unused; kept for a uniform constructor surface
 
     def _fit(self, X, codes):

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import Classifier
+from .base import Classifier, positive_int
 
 # Elements of the largest temporary of one block: the (rows, n_train)
 # screen matrices and the (pairs, n_features) differences of the exact
@@ -68,9 +68,7 @@ class KNearestNeighbors(Classifier):
     staged_param = "n_neighbors"
 
     def __init__(self, n_neighbors=1, seed=0):
-        if int(n_neighbors) < 1:
-            raise ValueError("n_neighbors must be >= 1")
-        self.n_neighbors = int(n_neighbors)
+        self.n_neighbors = positive_int("n_neighbors", n_neighbors)
         self.seed = int(seed)  # unused; kept for a uniform constructor surface
 
     def _fit(self, X, codes):

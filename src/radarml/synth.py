@@ -45,46 +45,37 @@ def _check_finite(**values):
 class Scenario:
     """Per-environment synthesis configuration.
 
-    ``bin_duration_ps`` is the fast-time sampling step. Clutter amplitude
-    and path count model multipath richness (higher indoors). The pulse
-    is a Gaussian-modulated sinusoid; its center frequency and width are
-    knobs because no specific hardware waveform is assumed.
+    Clutter amplitude and path count model multipath richness (higher
+    indoors). The radar's fast-time sampling and its pulse, a
+    Gaussian-modulated sinusoid, belong to the one device every
+    scenario shares, so they are class constants, like the schemes'
+    geometry, and no config names them. Their scan window reaches
+    n_bins * bin_duration_ps * c / 2 = 4.389 m, beyond every scheme's
+    farthest target.
     """
+
+    n_bins = 480
+    bin_duration_ps = 61.0  # fast-time sampling step
+    direct_path_amplitude = 1.0
+    pulse_center_freq_hz = 1.6e9
+    pulse_sigma_ps = 600.0
+    amplitude_exponent = 2.0  # echo amplitude = reflectivity / range**exponent
 
     scenario_id: str
     environment: str  # "indoor" | "outdoor"
-    n_bins: int = 480
-    bin_duration_ps: float = 61.0
     clutter_amplitude: float = 0.0
     clutter_path_count: int = 0
     noise_sigma: float = 0.0
-    direct_path_amplitude: float = 1.0
     seed: int = 0
-    pulse_center_freq_hz: float = 1.6e9
-    pulse_sigma_ps: float = 600.0
-    amplitude_exponent: float = 2.0  # echo amplitude = reflectivity / range**exponent
 
     def __post_init__(self):
         _check_finite(**{f.name: getattr(self, f.name) for f in fields(self) if f.type == "float"})
         if self.environment not in ("indoor", "outdoor"):
             raise ValueError(f"environment must be indoor or outdoor, got {self.environment!r}")
-        if self.n_bins < 64:
-            raise ValueError("n_bins must be at least 64")
-        if self.bin_duration_ps <= 0:
-            raise ValueError("bin_duration_ps must be positive")
         if self.clutter_amplitude < 0 or self.clutter_path_count < 0:
             raise ValueError("clutter parameters must be nonnegative")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be nonnegative")
-        if self.direct_path_amplitude <= 0:
-            raise ValueError("direct_path_amplitude must be positive")
-        if self.pulse_center_freq_hz <= 0 or self.pulse_sigma_ps <= 0:
-            raise ValueError("pulse parameters must be positive")
-
-    @property
-    def window_m(self) -> float:
-        """One-way range spanned by the scan window."""
-        return self.n_bins * self.bin_duration_ps * 1e-12 * SPEED_OF_LIGHT / 2.0
 
     @property
     def pulse_sigma_bins(self) -> float:
@@ -226,12 +217,13 @@ def generate_dataset(
     blocks of examples; each sample is still (background + echo) + noise,
     as one scan at a time would sum it, so the result is the same to the
     last bit as scan-by-scan synthesis. ``Scenario`` and ``Target`` check
-    their own values. Raises if a target's nominal echo delay falls
-    outside the scan window, or if a sample is not finite or exceeds
-    ``sigproc.sample_limit`` in magnitude, as when range**amplitude_exponent
-    leaves the float range. That check of the raw samples is
-    the only finiteness scan on the way to ``generate``'s files: what is
-    derived and standardized from them is finite by construction.
+    their own values, and every scheme's nominal targets lie inside the
+    scan window. Raises if a sample is not finite or exceeds
+    ``sigproc.sample_limit`` in magnitude, as when a huge reflectivity
+    makes one, or a huge jitter takes range**amplitude_exponent past the
+    float range. That check of the raw samples is the only finiteness
+    scan on the way to ``generate``'s files: what is derived and
+    standardized from them is finite by construction.
     """
     if n_per_class < 2:
         raise ValueError("n_per_class must be at least 2")
@@ -263,12 +255,6 @@ def generate_dataset(
     has_target = labels != 0
     bounds = scheme.placement_bounds(target.min_range)[labels[has_target]]
     range_m, _ = _place(scheme, bounds, u[has_target])
-    beyond = scenario.delay_bins(range_m) >= n_bins
-    if beyond.any():
-        raise ValueError(
-            f"target at {range_m[beyond.argmax()]:.3f} m echoes beyond the "
-            f"{scenario.window_m:.3f} m scan window"
-        )
     ranges = np.repeat(range_m[:, None], 3, axis=1)
     if jittered:
         ranges = np.maximum(ranges + target.jitter_sigma * z_jitter[has_target], 1e-3)
@@ -281,7 +267,7 @@ def generate_dataset(
     limit = sample_limit(n_bins)
     try:
         echoes = [reflectivity / r**exponent for r in ranges.ravel().tolist()]
-    except (OverflowError, ZeroDivisionError):  # r**exponent overflowed or underflowed to 0
+    except OverflowError:  # r**exponent overflowed
         raise ValueError(
             f"scan samples must all be finite and within ±{limit:.3g}: "
             f"range**{exponent:g} leaves the float range"

@@ -62,16 +62,10 @@ n_dropped: 0
 n_examples: 20
 role: train
 scenario:
-  amplitude_exponent: 2.0
-  bin_duration_ps: 61.0
   clutter_amplitude: 0.05
   clutter_path_count: 4
-  direct_path_amplitude: 1.0
   environment: outdoor
-  n_bins: 480
   noise_sigma: 0.001
-  pulse_center_freq_hz: 1600000000.0
-  pulse_sigma_ps: 600.0
   scenario_id: outdoor
   seed: 3681913448081106325
 scheme: simple4
@@ -255,14 +249,10 @@ class TestGenerate:
             ({"target": {"min_range": 1.5}}, "target: min_range must lie above 0 and below"),
             ({"target": {"reflectivity": -4.0}}, "target: reflectivity must be positive"),
             ({"target": {"jitter_sigma": -0.06}}, "target: jitter_sigma must be nonnegative"),
-            (
-                {"scenarios": {"outdoor": dict(TINY["scenarios"]["outdoor"], n_bins=64)}},
-                "scenarios.outdoor: the 0.585 m scan window does not reach the farthest simple4 target",
-            ),
         ],
-        ids=["min_range_beyond_zone_1", "negative_reflectivity", "negative_jitter", "window_short_of_zone_3"],
+        ids=["min_range_beyond_zone_1", "negative_reflectivity", "negative_jitter"],
     )
-    def test_bad_target_or_window_exit_code(self, change, message, tmp_path, capsys):
+    def test_bad_target_exit_code(self, change, message, tmp_path, capsys):
         path = tmp_path / "cfg.yaml"
         path.write_text(yaml.safe_dump({**TINY, **change}))
         out = tmp_path / "o"
@@ -331,16 +321,17 @@ class TestGenerate:
         assert [files for _, _, files in os.walk(out) if files] == []
 
     @pytest.mark.parametrize(
-        "exponent, reason",
-        [(-400.0, ""), (600.0, ": range**600 leaves the float range")],
-        ids=["far_echoes_beyond_the_limit", "near_echo_power_underflows"],
+        "target, reason",
+        [({"reflectivity": 1e160}, ""), ({"jitter_sigma": 1e160}, ": range**2 leaves the float range")],
+        ids=["echoes_beyond_the_limit", "jittered_echo_power_overflows"],
     )
     @pytest.mark.parametrize("jobs", ["1", "2"])
-    def test_samples_beyond_the_limit_exit_code(self, exponent, reason, jobs, tmp_path, capsys):
+    def test_samples_beyond_the_limit_exit_code(self, target, reason, jobs, tmp_path, capsys):
         # both groups fail; the first in plan order is reported
         cfg = {
             "n_per_class": 60,
-            "scenarios": {"outdoor": {"environment": "outdoor", "amplitude_exponent": exponent}},
+            "target": target,
+            "scenarios": {"outdoor": {"environment": "outdoor"}},
             "schemes": ["simple4", "grid10"],
             "data_types": ["raw"],
         }
@@ -354,7 +345,7 @@ class TestGenerate:
         ]
         assert [files for _, _, files in os.walk(out) if files] == []
 
-    @pytest.mark.parametrize("field", ["noise_sigma", "amplitude_exponent"])
+    @pytest.mark.parametrize("field", ["noise_sigma", "clutter_amplitude"])
     def test_non_finite_scenario_value_exit_code(self, field, tmp_path, capsys):
         scenario = dict(TINY["scenarios"]["outdoor"], **{field: float("nan")})
         path = tmp_path / "cfg.yaml"

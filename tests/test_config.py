@@ -102,12 +102,23 @@ class TestValidation:
         with pytest.raises(ConfigError):
             parse_config({"data_types": ["spectrogram"]})
 
-    def test_window_must_reach_every_scheme(self):
-        # 400 bins span 3.657 m: past simple4's 3 m, short of grid10's far corners
-        short = {"o": {"environment": "outdoor", "n_bins": 400}}
-        parse_config({"scenarios": short, "schemes": ["simple4"]})
-        with pytest.raises(ConfigError, match="farthest grid10 target, at 3.808 m"):
-            parse_config({"scenarios": short})
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "n_bins",
+            "bin_duration_ps",
+            "direct_path_amplitude",
+            "pulse_center_freq_hz",
+            "pulse_sigma_ps",
+            "amplitude_exponent",
+        ],
+    )
+    def test_radar_constants_are_not_scenario_fields(self, field):
+        # the radar's sampling and pulse are Scenario constants; naming one
+        # in a config fails like any typo
+        raw = {"scenarios": {"o": {"environment": "outdoor", field: 1.0}}}
+        with pytest.raises(ConfigError, match=rf"^scenarios\.o: unknown field '{field}'$"):
+            parse_config(raw)
 
     def test_target_values_checked(self):
         for target in ({"min_range": 0.0}, {"min_range": 1.0}, {"reflectivity": 0.0}, {"jitter_sigma": -1e-9}):
@@ -137,20 +148,12 @@ class TestValidation:
 
     def test_every_float_field_is_covered(self):
         floats = sorted(f for f, t in _SCENARIO_FIELDS.items() if t is float)
-        assert floats == [
-            "amplitude_exponent",
-            "bin_duration_ps",
-            "clutter_amplitude",
-            "direct_path_amplitude",
-            "noise_sigma",
-            "pulse_center_freq_hz",
-            "pulse_sigma_ps",
-        ]
+        assert floats == ["clutter_amplitude", "noise_sigma"]
         assert sorted(_TARGET_FIELDS) == ["jitter_sigma", "min_range", "reflectivity"]
 
     def test_bad_scenario_value_wrapped(self):
-        with pytest.raises(ConfigError):
-            parse_config({"scenarios": {"o": {"environment": "outdoor", "n_bins": 8}}})
+        with pytest.raises(ConfigError, match="^scenarios.o: noise_sigma must be nonnegative$"):
+            parse_config({"scenarios": {"o": {"environment": "outdoor", "noise_sigma": -1.0}}})
 
 
 class TestPlan:

@@ -115,6 +115,18 @@ class TestInterface:
         with pytest.raises(ValueError):
             KNearestNeighbors(n_neighbors=5).fit(np.zeros((3, 2)), [0, 1, 0])
 
+    def test_k_larger_than_train_leaves_the_model_unfitted(self):
+        # the check fails after the labels are encoded: neither the new
+        # classes nor the last fit's training rows may answer a predict
+        X = np.random.default_rng(0).normal(size=(20, 2))
+        model = KNearestNeighbors(n_neighbors=5).fit(X, np.arange(20) % 2)
+        first = KNearestNeighbors(n_neighbors=5)
+        for m in (model, first):
+            with pytest.raises(ValueError, match="exceeds 3 training examples"):
+                m.fit(X[:3], ["a", "b", "a"])
+            with pytest.raises(ValueError, match="is not fitted"):
+                m.predict(X[:4])
+
     def test_labels_mapped_back(self):
         X = np.array([[0.0], [10.0]])
         model = KNearestNeighbors(n_neighbors=1).fit(X, np.array([-3, 12]))

@@ -90,6 +90,31 @@ class TestLogisticRegression:
                 LogisticRegression(**{name: value})
 
 
+class TestIterationCaps:
+    CAPS = [(LogisticRegression, "max_iter"), (Perceptron, "max_epochs"), (LinearSVC, "max_epochs")]
+
+    # a cap below 1 used to fit zero weights or report n_iter_ < 0
+    @pytest.mark.parametrize("value", [0, -3])
+    @pytest.mark.parametrize("cls, name", CAPS, ids=[cls.__name__ for cls, _ in CAPS])
+    def test_cap_below_one_rejected_by_name(self, cls, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be >= 1, got {value}$"):
+            cls(**{name: value})
+
+    ONE_STEP = {
+        **{solver: lambda solver=solver: LogisticRegression(solver=solver, max_iter=1) for solver in SOLVERS},
+        "perceptron": lambda: Perceptron(max_epochs=1),
+        "linear_svc": lambda: LinearSVC(max_epochs=1),
+    }
+
+    @pytest.mark.parametrize("make", ONE_STEP.values(), ids=list(ONE_STEP))
+    def test_cap_of_one_takes_one_step(self, make):
+        X, y = blobs()
+        model = make().fit(X, y)
+        assert np.abs(model.coef_).max() > 0
+        if hasattr(model, "n_iter_"):
+            assert (model.n_iter_, model.converged_) == (1, False)
+
+
 class TestSagBiasScale:
     """sag steps on a scaled bias column; the optimum must not move."""
 

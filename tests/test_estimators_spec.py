@@ -201,6 +201,50 @@ class TestFitContract:
             with pytest.raises(ValueError, match="not fitted"):
                 model.predict(X)
 
+    def test_a_failed_refit_leaves_the_model_unfitted(self, kind, monkeypatch):
+        # a refit that fails in the shared checks, or in the kind's own _fit
+        # after it recorded part of its state, keeps nothing of either fit
+        cls = ESTIMATOR_CLASSES[kind]
+        X, y = overlapping_blobs()
+        params = set(inspect.signature(cls).parameters)
+        model = multi_stage(cls).fit(X, y)
+        with pytest.raises(ValueError, match="at least two classes"):
+            model.fit(X, np.full(len(X), 20))
+        assert set(vars(model)) == params
+        with pytest.raises(ValueError, match="not fitted"):
+            model.predict(X)
+
+        real = cls._fit
+
+        def interrupted(model, X, codes):
+            real(model, X, codes)
+            raise MemoryError("interrupted")
+
+        model.fit(X, y)
+        monkeypatch.setattr(cls, "_fit", interrupted)
+        with pytest.raises(MemoryError):
+            model.fit(*two_class_blobs())
+        assert set(vars(model)) == params
+        with pytest.raises(ValueError, match="not fitted"):
+            model.predict(X)
+
+    def test_a_failed_fit_together_leaves_no_model_half_fitted(self, kind):
+        # the model whose data fail is unfitted, though an earlier fit had
+        # fitted it; the others are fitted as their own fit would, or unfitted
+        cls = ESTIMATOR_CLASSES[kind]
+        X, y = overlapping_blobs()
+        models = [multi_stage(cls), multi_stage(cls).fit(X, y)]
+        with pytest.raises(ValueError, match="at least two classes"):
+            cls.fit_together(models, [X, X], [y, np.full(len(X), 20)])
+        with pytest.raises(ValueError, match="not fitted"):
+            models[1].predict(X)
+        try:
+            labels = models[0].predict(X)
+        except ValueError as exc:
+            assert "not fitted" in str(exc)
+        else:
+            np.testing.assert_array_equal(labels, multi_stage(cls).fit(X, y).predict(X))
+
 
 class TestBaseChecks:
     def test_check_matrix_rules(self):

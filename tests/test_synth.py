@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -7,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from radarml import synth
-from radarml.labeling import Grid10Scheme, Simple4Scheme
+from radarml.labeling import SCHEMES, Grid10Scheme, Simple4Scheme
 from radarml.seeding import make_rng, seed_sequence
 from radarml.synth import Scenario, Target, generate_dataset, pulse_samples
 from test_labeling import TargetState, label_of
@@ -24,6 +25,17 @@ def quiet_scenario(**kw):
     )
     defaults.update(kw)
     return Scenario(**defaults)
+
+
+# the P440's fast-time sampling and pulse, as the pinned .rds bytes were made with
+RADAR_CONSTANTS = {
+    "n_bins": 480,
+    "bin_duration_ps": 61.0,
+    "direct_path_amplitude": 1.0,
+    "pulse_center_freq_hz": 1.6e9,
+    "pulse_sigma_ps": 600.0,
+    "amplitude_exponent": 2.0,
+}
 
 
 class TestPulseTemplate:
@@ -144,7 +156,7 @@ class TestAgainstPerScanReference:
             (Simple4Scheme(), dict(clutter_amplitude=0.3, clutter_path_count=6), Target(jitter_sigma=0.0)),
             (Grid10Scheme(), dict(noise_sigma=0.02), Target(jitter_sigma=0.0, reflectivity=2.5)),
             (Simple4Scheme(), dict(noise_sigma=0.01), Target(reflectivity=0.7, jitter_sigma=0.11, min_range=0.05)),
-            (Simple4Scheme(), dict(clutter_amplitude=0.2, clutter_path_count=3, n_bins=360), Target(min_range=0.5)),
+            (Simple4Scheme(), dict(clutter_amplitude=0.2, clutter_path_count=3), Target(min_range=0.5)),
         ],
     )
     def test_bit_identical(self, scheme, scenario, target):
@@ -233,11 +245,14 @@ class TestSynthesizedScans:
             # the analytic peak reflectivity / r**2
             assert 0.90 * 4.0 / t.range_m**2 <= peak <= 4.0 / t.range_m**2 * (1 + 1e-9)
 
-    def test_target_beyond_window_rejected(self):
-        sc = quiet_scenario(n_bins=64)  # a 0.59 m window; simple4 zone 3 lies beyond it
-        assert sc.window_m < 2.0
-        with pytest.raises(ValueError, match="beyond"):
-            generate_dataset(sc, Simple4Scheme(), 2, seed=0)
+    @pytest.mark.parametrize("scheme", SCHEMES.values(), ids=list(SCHEMES))
+    def test_every_scheme_farthest_target_lies_inside_the_window(self, scheme):
+        # the radar's fixed sampling spans 4.389 m one way, past grid10's
+        # 3.808 m far corners and simple4's 3 m
+        window_m = Scenario.n_bins * Scenario.bin_duration_ps * 1e-12 * synth.SPEED_OF_LIGHT / 2.0
+        assert window_m == pytest.approx(4.389, abs=5e-4)
+        assert scheme.max_range < window_m
+        assert quiet_scenario().delay_bins(scheme.max_range) < Scenario.n_bins
 
     def test_jitter_moves_the_echo_between_scans(self):
         sc = quiet_scenario()
@@ -385,20 +400,19 @@ class TestGenerateDataset:
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match=r"finite and within ±3.18e\+149$"):
             generate_dataset(quiet_scenario(), Simple4Scheme(), 2, seed=0, target=Target(reflectivity=reflectivity))
 
-    # without jitter the ranges of simple4's class 3 lie in [2, 3), where
-    # range**1100 overflows and range**-1100 underflows to 0
-    @pytest.mark.parametrize("exponent", [1100.0, -1100.0])
-    def test_echo_power_beyond_the_float_range_rejected(self, exponent):
-        sc = quiet_scenario(amplitude_exponent=exponent)
-        message = rf"within ±3.18e\+149: range\*\*{exponent:g} leaves the float range$"
+    def test_echo_power_beyond_the_float_range_rejected(self):
+        # a jitter of 1e160 m takes some jittered range past 1e155 m, whose
+        # square overflows
+        message = r"within ±3.18e\+149: range\*\*2 leaves the float range$"
         with pytest.raises(ValueError, match=message):
-            generate_dataset(sc, Simple4Scheme(), 2, seed=0, target=Target(jitter_sigma=0.0), rows=slice(6, 8))
+            generate_dataset(quiet_scenario(), Simple4Scheme(), 2, seed=0, target=Target(jitter_sigma=1e160))
 
     def test_huge_samples_within_the_limit_accepted(self):
-        # echoes of 4 / range**300: as at a 480-bin scan's limit, finite
+        # echoes of 1e140 / range**2, near the 480-bin limit: finite
         # derived values are left to standardization's own checks
-        ds = generate_dataset(quiet_scenario(amplitude_exponent=300.0), Simple4Scheme(), 2, seed=0)
-        assert np.abs(ds.scans).max() > 1e40
+        still = Target(reflectivity=1e140, jitter_sigma=0.0)
+        ds = generate_dataset(quiet_scenario(), Simple4Scheme(), 2, seed=0, target=still)
+        assert np.abs(ds.scans).max() > 1e140
 
 
 class TestValidation:
@@ -408,20 +422,24 @@ class TestValidation:
         with pytest.raises(ValueError):
             quiet_scenario(noise_sigma=-0.1)
         with pytest.raises(ValueError):
-            quiet_scenario(n_bins=32)
+            quiet_scenario(clutter_amplitude=-0.1)
+
+    def test_scenario_fields_are_the_configurable_ones(self):
+        names = sorted(f.name for f in dataclasses.fields(Scenario))
+        assert names == ["clutter_amplitude", "clutter_path_count", "environment", "noise_sigma", "scenario_id", "seed"]
+
+    @pytest.mark.parametrize("name, value", RADAR_CONSTANTS.items(), ids=list(RADAR_CONSTANTS))
+    def test_radar_constants_are_not_constructor_arguments(self, name, value):
+        # the radar's sampling and pulse keep their values on every scenario
+        # and cannot be set on one
+        assert getattr(Scenario, name) == getattr(quiet_scenario(), name) == value
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
+            quiet_scenario(**{name: value})
 
     # every float field of a Scenario; a range check alone lets NaN through
     @pytest.mark.parametrize(
         "field",
-        [
-            "noise_sigma",
-            "bin_duration_ps",
-            "clutter_amplitude",
-            "direct_path_amplitude",
-            "pulse_center_freq_hz",
-            "pulse_sigma_ps",
-            "amplitude_exponent",
-        ],
+        ["noise_sigma", "clutter_amplitude"],
     )
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_scenario_field_rejected_by_name(self, field, value):

@@ -142,9 +142,6 @@ class ExperimentPlan:
     seed: int
     out_dir: str = "."
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
 
 def _parse_scenario(name, raw, global_seed, index):
     _check_fields(raw, _SCENARIO_FIELDS, f"scenarios.{name}")

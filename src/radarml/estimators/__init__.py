@@ -2,7 +2,10 @@
 
 Everything is trained from scratch on numpy; no external ML library is
 involved. ``ESTIMATOR_CLASSES`` maps each kind to its class, whose
-constructor takes the kind's grid axes plus ``seed``. Every class follows
+constructor takes the kind's grid axes plus ``seed`` (``DecisionTree``
+also ``max_depth``). Settings no grid varies are class constants: the
+linear kinds' ``tol``, ``max_iter``, ``lr`` and ``max_epochs``, and
+``GradientBoosting.max_depth``. Every class follows
 the contract of ``base.Classifier``: its ``fit`` sets ``classes_`` and
 ``n_features_`` and calls the kind's ``_fit``, ``staged_param`` and
 ``n_stages`` say how many fits one fit holds, ``staged_predict`` predicts

@@ -69,7 +69,7 @@ class ExtraTrees(_BaseForest):
 
 
 class GradientBoosting(Classifier):
-    """Multinomial-deviance boosting with depth-3 regression trees.
+    """Multinomial-deviance boosting with depth-3 (``max_depth``) regression trees.
 
     Scores start at the class log-priors; each stage fits one tree per
     class to the residuals (one-hot minus softmax) and adds the shrunken
@@ -81,13 +81,13 @@ class GradientBoosting(Classifier):
     # An n-stage fit holds every smaller fit exactly and ignores the seed,
     # so one fit per fold can score each n_estimators up to n.
     staged_param = "n_estimators"
+    max_depth = 3
 
-    def __init__(self, n_estimators=16, learning_rate=0.5, max_depth=3, seed=0):
+    def __init__(self, n_estimators=16, learning_rate=0.5, seed=0):
         self.n_estimators = positive_int("n_estimators", n_estimators)
         if not 0.0 < learning_rate <= 1.0:
             raise ValueError("learning_rate must lie in (0, 1]")
         self.learning_rate = float(learning_rate)
-        self.max_depth = positive_int("max_depth", max_depth)
         self.seed = int(seed)  # unused; growth is exhaustive and deterministic
 
     @staticmethod

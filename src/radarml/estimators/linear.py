@@ -1,9 +1,12 @@
 """Linear classifiers: multinomial logistic regression, perceptron, SVM.
 
 All three operate on an augmented design matrix with a trailing bias
-column that stays unpenalized. Logistic regression minimizes the mean
-negative log-likelihood plus (1/(2C))||W||^2 and exposes three solvers
-that share one convergence rule: max|grad| < tol on this objective.
+column that stays unpenalized. Constructors take the grid axes and a
+seed; ``tol``, ``max_iter``, ``lr`` and ``max_epochs`` are class constants.
+Logistic regression minimizes the mean negative log-likelihood plus
+(1/(2C))||W||^2 with three solvers, declared in ``_SOLVE`` with one
+signature (only ``sag`` draws from the seed), that share one convergence
+rule: max|grad| < tol on this objective.
 Each fit records ``n_iter_``, ``converged_`` and ``grad_norm_`` (the
 max|grad| where it stopped), so a fit that ran out of iterations or whose
 line search failed says so, and by how much. ``lbfgs`` and ``newton-cg``
@@ -21,7 +24,7 @@ from collections import deque
 import numpy as np
 
 from ..seeding import make_rng
-from .base import Classifier, log_softmax_rows, positive_float, positive_int, softmax_rows
+from .base import Classifier, log_softmax_rows, positive_float, softmax_rows
 
 _LBFGS_MEMORY = 10
 _ARMIJO_C1 = 1e-4
@@ -33,8 +36,6 @@ _MAX_HALVINGS = 30
 # grid10 fold of 160x480 at C = 0.01 / 1 / 10: 71 / 182 / 500+ at 1,
 # 9 / 27 / 88 at 4, 9 / 26 / 102 at 10, 11 / 31 / 243 at 30.
 _SAG_BIAS_SCALE = 4.0
-
-SOLVERS = ("lbfgs", "sag", "newton-cg")
 
 
 def _augment(X):
@@ -92,7 +93,7 @@ def _descend(Xa, Y, lam, tol, max_iter, direction):
     return theta, max_iter, gnorm < tol, gnorm
 
 
-def _solve_lbfgs(Xa, Y, lam, tol, max_iter):
+def _solve_lbfgs(Xa, Y, lam, tol, max_iter, seed):
     """``_descend`` along the L-BFGS two-loop direction, whose (s, y) pairs
     are the differences of consecutive iterates and their gradients."""
     hist = deque(maxlen=_LBFGS_MEMORY)  # (s, y, 1 / s.y), oldest first
@@ -202,7 +203,7 @@ def _cg(apply_h, b, tol, max_iter):
     return x
 
 
-def _solve_newton_cg(Xa, Y, lam, tol, max_iter):
+def _solve_newton_cg(Xa, Y, lam, tol, max_iter, seed):
     """``_descend`` along a truncated-CG Newton step."""
     n, d1 = Xa.shape
     K = Y.shape[1]
@@ -228,6 +229,12 @@ def _solve_newton_cg(Xa, Y, lam, tol, max_iter):
     return _descend(Xa, Y, lam, tol, max_iter, direction)
 
 
+# solver name -> its function, in the grid's order, which fixes candidate
+# indices and with them their CV seeds
+_SOLVE = {"lbfgs": _solve_lbfgs, "sag": _solve_sag, "newton-cg": _solve_newton_cg}
+SOLVERS = tuple(_SOLVE)
+
+
 class _LinearClassifier(Classifier):
     """Scores ``X @ coef_.T + intercept_``, one column per class."""
 
@@ -243,48 +250,42 @@ class LogisticRegression(_LinearClassifier):
     """
 
     kind = "logistic_regression"
+    tol = 1e-5
+    max_iter = 500
 
-    def __init__(self, C=1.0, solver="lbfgs", tol=1e-5, max_iter=500, seed=0):
+    def __init__(self, C=1.0, solver="lbfgs", seed=0):
         if solver not in SOLVERS:
             raise ValueError(f"unknown solver {solver!r}; expected one of {SOLVERS}")
         self.C = positive_float("C", C)
         self.solver = solver
-        self.tol = positive_float("tol", tol)
-        self.max_iter = positive_int("max_iter", max_iter)
         self.seed = int(seed)
 
     def _fit(self, X, codes):
         Y = np.eye(len(self.classes_))[codes]
-        Xa = _augment(X)
-        lam = 1.0 / self.C
-        if self.solver == "lbfgs":
-            solved = _solve_lbfgs(Xa, Y, lam, self.tol, self.max_iter)
-        elif self.solver == "sag":
-            solved = _solve_sag(Xa, Y, lam, self.tol, self.max_iter, self.seed)
-        else:
-            solved = _solve_newton_cg(Xa, Y, lam, self.tol, self.max_iter)
+        solve = _SOLVE[self.solver]
+        solved = solve(_augment(X), Y, 1.0 / self.C, self.tol, self.max_iter, self.seed)
         theta, self.n_iter_, self.converged_, self.grad_norm_ = solved
         self.coef_ = theta[:, :-1]
         self.intercept_ = theta[:, -1]
 
 
-def _perceptron_lockstep(fits, lr, alpha):
+def _perceptron_lockstep(fits, alpha):
     """Run the perceptron epochs of several ``(model, X, codes)`` fits at once.
 
-    The fits share their number of classes and features, ``lr`` and
-    ``alpha``. Step s of an epoch decays, scores and corrects every fit that
-    is still running and has more than s rows, each at the s-th row of its
-    own visit order, so each fit does the arithmetic of a lone fit. Stacked
+    The fits share their number of classes and features and ``alpha``.
+    Step s of an epoch decays, scores and corrects every fit that is still
+    running and has more than s rows, each at the s-th row of its own
+    visit order, so each fit does the arithmetic of a lone fit. Stacked
     (fit, class, feature) weights turn a step's decay and matvec into one
     numpy call each, and its corrections into one scatter.
     """
+    lr, max_epochs = Perceptron.lr, Perceptron.max_epochs
     decay = 1.0 - lr * alpha
     # longest first, so the fits with more than s rows are a prefix
     fits = sorted(fits, key=lambda fit: -fit[1].shape[0])
     models = [model for model, _, _ in fits]
     F, K, d = len(fits), len(models[0].classes_), fits[0][1].shape[1]
     sizes = np.array([X.shape[0] for _, X, _ in fits])
-    max_epochs = np.array([model.max_epochs for model in models])
     targets = [2.0 * np.eye(K)[codes] - 1.0 for _, _, codes in fits]
     rngs = [make_rng(model.seed, 0) for model in models]
     W = np.zeros((F, K, d))
@@ -293,7 +294,7 @@ def _perceptron_lockstep(fits, lr, alpha):
     clean = np.zeros(F, dtype=bool)
     epoch = 0
     while True:
-        done = clean[live] | (max_epochs[live] <= epoch)
+        done = clean[live] | (epoch >= max_epochs)
         for j in np.nonzero(done)[0]:
             model = models[live[j]]
             model.coef_, model.intercept_ = W[j].copy(), b[j].copy()
@@ -357,25 +358,23 @@ class Perceptron(_LinearClassifier):
     """
 
     kind = "perceptron"
+    lr = 1.0
+    max_epochs = 100
 
-    def __init__(self, alpha=0.0001, lr=1.0, max_epochs=100, seed=0):
-        if not 0.0 <= alpha < np.inf:
-            raise ValueError(f"alpha must be nonnegative and finite, got {alpha}")
+    def __init__(self, alpha=0.0001, seed=0):
+        if not 0.0 <= alpha <= 1.0:
+            raise ValueError(f"alpha must lie in [0, 1], got {alpha}")
         self.alpha = float(alpha)
-        self.lr = positive_float("lr", lr)
-        if self.lr * self.alpha > 1:
-            raise ValueError("lr * alpha must not exceed 1")
-        self.max_epochs = positive_int("max_epochs", max_epochs)
         self.seed = int(seed)
 
     def _fit(self, X, codes):
-        _perceptron_lockstep([(self, X, codes)], self.lr, self.alpha)
+        _perceptron_lockstep([(self, X, codes)], self.alpha)
 
     @staticmethod
     def fit_together(models, Xs, ys):
         """Fit each ``models[f]`` on ``(Xs[f], ys[f])``, bit for bit as its
-        own ``fit`` would, stepping fits that share their shape, ``lr``
-        and ``alpha`` in lockstep.
+        own ``fit`` would, stepping fits that share their shape and
+        ``alpha`` in lockstep.
 
         Cross-validation fits its folds through this; ``_fit`` is the
         one-fit case. If it raises, it leaves every model unfitted.
@@ -384,10 +383,10 @@ class Perceptron(_LinearClassifier):
         try:
             for model, X, y in zip(models, Xs, ys):
                 X, codes = model._encode(X, y)
-                key = (len(model.classes_), X.shape[1], model.lr, model.alpha)
+                key = (len(model.classes_), X.shape[1], model.alpha)
                 groups.setdefault(key, []).append((model, X, codes))
-            for (_, _, lr, alpha), fits in groups.items():
-                _perceptron_lockstep(fits, lr, alpha)
+            for (_, _, alpha), fits in groups.items():
+                _perceptron_lockstep(fits, alpha)
         except BaseException:
             for model in models:
                 model._unfit()
@@ -403,10 +402,10 @@ class LinearSVC(_LinearClassifier):
     """
 
     kind = "linear_svc"
+    max_epochs = 200
 
-    def __init__(self, C=1.0, max_epochs=200, seed=0):
+    def __init__(self, C=1.0, seed=0):
         self.C = positive_float("C", C)
-        self.max_epochs = positive_int("max_epochs", max_epochs)
         self.seed = int(seed)  # unused; kept for a uniform constructor surface
 
     def _fit(self, X, codes):

@@ -127,10 +127,6 @@ class TreeNodes:
     right: np.ndarray
     value: np.ndarray
 
-    @property
-    def n_nodes(self) -> int:
-        return self.feature.size
-
 
 class _TreeBuilder:
     def __init__(self):

@@ -159,7 +159,7 @@ class TestValidation:
 class TestPlan:
     def test_default_plan_has_twelve_entries(self):
         plan = build_plan(parse_config({}))
-        assert len(plan) == 12
+        assert len(plan.entries) == 12
         ids = [e.dataset_id for e in plan.entries]
         assert len(set(ids)) == 12
         assert ids[0] == "outdoor-simple4-raw"
@@ -178,7 +178,7 @@ class TestPlan:
 
     def test_data_type_filter(self):
         plan = build_plan(parse_config({}), data_types=["motion_filtered"])
-        assert len(plan) == 4
+        assert len(plan.entries) == 4
         assert all(e.data_type == "motion_filtered" for e in plan.entries)
 
     def test_bad_filter_rejected(self):

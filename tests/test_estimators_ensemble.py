@@ -105,7 +105,23 @@ class TestExtraTreesUseFullSample:
             assert np.array_equal(tree_apply(nodes, X).astype(int), y)
 
 
+def depth(tree):
+    return 0 if tree[0] == "leaf" else 1 + max(depth(tree[2]), depth(tree[3]))
+
+
 class TestGradientBoosting:
+    @pytest.mark.parametrize("max_depth", [None, 1])
+    def test_stage_trees_are_as_deep_as_the_class_constant(self, monkeypatch, max_depth):
+        # max_depth is a class constant, not a constructor option; None keeps its value
+        if max_depth is None:
+            max_depth = GradientBoosting.max_depth
+        else:
+            monkeypatch.setattr(GradientBoosting, "max_depth", max_depth)
+        X, y = overlapping()
+        model = GradientBoosting(n_estimators=4).fit(X, y)
+        depths = [depth(nested(nodes)) for stage in model.stages_ for nodes in stage]
+        assert max(depths) == max_depth
+
     def test_deviance_starts_at_prior_and_never_increases(self):
         X, y = blobs()
         model = GradientBoosting(n_estimators=12, learning_rate=1.0).fit(X, y)

@@ -33,10 +33,38 @@ class TestRegistry:
         assert model.seed == 11
         assert model.kind == kind
 
+    # DecisionTree's max_depth is the one constructor option beyond the
+    # grid: it is the classification growers' only depth bound, and tests
+    # bound trees with it so that a split fault fails instead of hanging
+    BEYOND_THE_GRID = {"decision_tree": ("max_depth",)}
+
     @pytest.mark.parametrize("kind", KINDS)
     def test_constructor_takes_seed_and_every_grid_axis(self, kind):
+        # and nothing else: a setting that no grid varies is a class constant
         params = inspect.signature(ESTIMATOR_CLASSES[kind]).parameters
-        assert {"seed", *(name for name, _ in GRID_AXES[kind])} <= set(params)
+        axes = [name for name, _ in GRID_AXES[kind]]
+        assert set(params) == {"seed", *axes, *self.BEYOND_THE_GRID.get(kind, ())}
+
+    # the settings that no grid varies, with the values every fit uses
+    CLASS_CONSTANTS = {
+        f"{kind}.{name}": (kind, name, value)
+        for kind, name, value in (
+            ("logistic_regression", "tol", 1e-5),
+            ("logistic_regression", "max_iter", 500),
+            ("perceptron", "lr", 1.0),
+            ("perceptron", "max_epochs", 100),
+            ("linear_svc", "max_epochs", 200),
+            ("gradient_boosting", "max_depth", 3),
+        )
+    }
+
+    @pytest.mark.parametrize("kind, name, value", CLASS_CONSTANTS.values(), ids=list(CLASS_CONSTANTS))
+    def test_fixed_setting_is_a_class_constant(self, kind, name, value):
+        cls = ESTIMATOR_CLASSES[kind]
+        assert vars(cls)[name] == value
+        assert getattr(cls(seed=1), name) == value
+        with pytest.raises(TypeError, match=name):
+            cls(**{name: value})
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_every_grid_candidate_constructs(self, kind):

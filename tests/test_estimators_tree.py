@@ -201,7 +201,7 @@ class TestDecisionTree:
         y = rng.integers(0, 2, size=32)
         y[:2] = [0, 1]
         stump = DecisionTree(max_features=None, max_depth=1).fit(X, y)
-        assert stump.nodes_.n_nodes <= 3
+        assert stump.nodes_.feature.size <= 3
 
     @pytest.mark.parametrize("criterion", ["gini", "entropy"])
     def test_midpoint_rounding_up_takes_the_lower_value(self, criterion):
@@ -272,7 +272,7 @@ class TestRegressionTree:
     def test_constant_targets_stay_a_leaf(self):
         X = np.arange(8.0).reshape(-1, 1)
         nodes, _ = grow_regression(presort(X), np.full(8, 5.0), max_depth=3)
-        assert nodes.n_nodes == 1
+        assert nodes.feature.size == 1
         assert nodes.value[0] == 5.0
 
     def test_no_split_returns_none_on_constant_targets(self):
@@ -284,7 +284,7 @@ class TestRegressionTree:
         X = np.arange(10.0).reshape(-1, 1)
         g = np.arange(10.0)
         nodes, _ = grow_regression(presort(X), g, max_depth=0)
-        assert nodes.n_nodes == 1
+        assert nodes.feature.size == 1
         assert nodes.value[0] == pytest.approx(4.5)
 
     def test_leaf_values_are_node_means(self):

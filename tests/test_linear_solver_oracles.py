@@ -232,56 +232,60 @@ class TestSagMatchesOracle:
             (10, 1000.0, 3),
         ],
     )
-    def test_coefficient_bytes(self, K, C, max_iter):
+    def test_coefficient_bytes(self, monkeypatch, K, C, max_iter):
+        monkeypatch.setattr(LogisticRegression, "max_iter", max_iter)
         X, y = blobs(K, 12, 7, 2.0, seed=K)
-        model = LogisticRegression(C=C, solver="sag", max_iter=max_iter, seed=5).fit(X, y)
+        model = LogisticRegression(C=C, solver="sag", seed=5).fit(X, y)
         Y = np.eye(K)[y]
         theta = oracle_sag(_augment(X), Y, 1.0 / C, model.tol, max_iter, 5)
         assert same_bytes(model, theta[:, :-1], theta[:, -1])
 
-    def test_reports_running_out_of_epochs(self):
+    def test_reports_running_out_of_epochs(self, monkeypatch):
+        monkeypatch.setattr(LogisticRegression, "max_iter", 3)
         X, y = blobs(4, 12, 7, 2.0, seed=1)
-        model = LogisticRegression(C=1000.0, solver="sag", max_iter=3).fit(X, y)
+        model = LogisticRegression(C=1000.0, solver="sag").fit(X, y)
         assert (model.n_iter_, model.converged_) == (3, False)
 
 
 class TestPerceptronMatchesOracle:
     @pytest.mark.parametrize("K", [2, 4, 10])
     @pytest.mark.parametrize("alpha", [0.0, 0.0001, 1.0])
-    def test_one_fit(self, K, alpha):
+    def test_one_fit(self, monkeypatch, K, alpha):
+        monkeypatch.setattr(Perceptron, "max_epochs", 40)
         X, y = blobs(K, 9, 6, 1.5, seed=K)
-        model = Perceptron(alpha=alpha, max_epochs=40, seed=3).fit(X, y)
+        model = Perceptron(alpha=alpha, seed=3).fit(X, y)
         W, b, epochs, clean = oracle_perceptron(X, y, alpha, 1.0, 40, 3)
         assert same_bytes(model, W, b)
         assert (model.n_iter_, model.converged_) == (epochs, clean)
 
-    def test_lockstep_fits_of_unequal_sizes_that_stop_in_different_epochs(self):
+    def test_lockstep_fits_of_unequal_sizes_that_stop_in_different_epochs(self, monkeypatch):
         # well separated (clean in epoch 2, the first epoch that can be
         # clean: every fit errs on its first row), overlapping (runs out
-        # its epochs), in between, and a fit cut off after one epoch
-        shapes = [(0.2, 11, 30), (3.0, 9, 30), (1.0, 10, 30), (1.0, 8, 1)]
+        # its epochs), and two in between that are clean in later epochs
+        monkeypatch.setattr(Perceptron, "max_epochs", 30)
+        shapes = [(0.2, 11), (3.0, 9), (1.0, 10), (1.0, 8)]
         Xs, ys, models, want = [], [], [], []
-        for f, (spread, n_per, max_epochs) in enumerate(shapes):
+        for f, (spread, n_per) in enumerate(shapes):
             X, y = blobs(4, n_per, 6, spread, seed=20 + f)
             Xs.append(X)
             ys.append(y)
-            models.append(Perceptron(alpha=0.001, lr=0.5, max_epochs=max_epochs, seed=f))
-            want.append(oracle_perceptron(X, y, 0.001, 0.5, max_epochs, f))
+            models.append(Perceptron(alpha=0.001, seed=f))
+            want.append(oracle_perceptron(X, y, 0.001, Perceptron.lr, 30, f))
         Perceptron.fit_together(models, Xs, ys)
         ends = []
         for model, (W, b, epochs, clean) in zip(models, want):
             assert same_bytes(model, W, b)
             assert (model.n_iter_, model.converged_) == (epochs, clean)
             ends.append((epochs, clean))
-        assert ends[0] == (2, True) and ends[1] == (30, False) and ends[3] == (1, False)
+        assert ends[0] == (2, True) and ends[1] == (30, False)
         assert len({e for e, _ in ends}) == 4
 
     def test_lockstep_fits_with_their_own_params_and_shapes(self):
         fits = [
-            (blobs(3, 10, 5, 1.0, seed=1), Perceptron(alpha=0.01, lr=2.0, seed=4)),
-            (blobs(3, 13, 5, 1.0, seed=2), Perceptron(alpha=0.0, lr=1.0, seed=4)),
-            (blobs(2, 10, 5, 1.0, seed=3), Perceptron(alpha=1.0, lr=1.0, seed=9)),
-            (blobs(3, 7, 4, 1.0, seed=4), Perceptron(alpha=0.1, lr=0.5, max_epochs=3, seed=1)),
+            (blobs(3, 10, 5, 1.0, seed=1), Perceptron(alpha=0.01, seed=4)),
+            (blobs(3, 13, 5, 1.0, seed=2), Perceptron(alpha=0.0, seed=4)),
+            (blobs(2, 10, 5, 1.0, seed=3), Perceptron(alpha=1.0, seed=9)),
+            (blobs(3, 7, 4, 1.0, seed=4), Perceptron(alpha=0.1, seed=1)),
         ]
         models = [model for _, model in fits]
         Perceptron.fit_together(models, [X for (X, _), _ in fits], [y for (_, y), _ in fits])

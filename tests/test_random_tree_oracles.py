@@ -168,7 +168,7 @@ class TestForestMatchesFrozenGrowth:
         y = np.repeat(np.arange(4), 16)
         X[:, :40] += y[:, None] * 0.3
         trees = assert_same_forest(X, y, n_estimators, criterion)
-        assert all(nodes.n_nodes > 1 for nodes in trees)
+        assert all(nodes.feature.size > 1 for nodes in trees)
 
     @pytest.mark.parametrize("criterion", CRITERIA)
     @pytest.mark.parametrize("n_estimators", [1, 16, 256])
@@ -251,7 +251,7 @@ class TestLoneTreeMatchesFrozenGrowth:
         for seed in range(3):
             nodes = assert_same_lone_tree(X, y, criterion, max_features, max_depth, seed)
             if max_depth == 0:
-                assert nodes.n_nodes == 1
+                assert nodes.feature.size == 1
 
     @pytest.mark.parametrize("criterion", CRITERIA)
     def test_constant_features_and_two_rows(self, criterion):
@@ -260,7 +260,7 @@ class TestLoneTreeMatchesFrozenGrowth:
         assert nodes.feature.tolist() == [1, -1, -1]
         all_constant = np.full((4, 3), 7.0)
         nodes = assert_same_lone_tree(all_constant, np.array([0, 1, 0, 1]), criterion, None)
-        assert nodes.n_nodes == 1
+        assert nodes.feature.size == 1
 
 
 @pytest.fixture(scope="module")

@@ -53,16 +53,17 @@ def test_every_wrapped_name_exists_and_is_put_back(tracing):
         assert (attr in vars(owner)) != inherited
 
 
-def test_wrappers_see_the_tree_kernels(tracing):
+def test_wrappers_see_the_tree_kernels(tracing, monkeypatch):
     # gradient boosting reaches growth and split search through the
     # module globals the tracer swaps, so both show up as spans
     rng = np.random.default_rng(0)
     X = rng.normal(size=(24, 5))
     y = np.repeat(np.arange(3), 8)
+    monkeypatch.setattr(GradientBoosting, "max_depth", 2)
     tracer = tracing.Tracer()
     try:
         tracer.install()
-        GradientBoosting(n_estimators=2, max_depth=2).fit(X, y)
+        GradientBoosting(n_estimators=2).fit(X, y)
     finally:
         tracer.uninstall()
     metrics = tracing.layer_metrics(tracer.spans)
